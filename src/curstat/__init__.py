@@ -13,8 +13,7 @@ Typical flow::
     mle = curstat.fit_mle(sample)                 # step distribution
     F = curstat.smle_F(mle, curstat.triweight(), h, t)
 
-or through the fitted-curve helpers in :mod:`curstat.estimators` and
-the ``curstat`` command-line tool.
+or through the ``curstat`` command-line tool.
 """
 
 from .errors import (
@@ -42,8 +41,6 @@ from .kernels import (
     Kernel,
     ScaledKernel,
     boundary_family,
-    kernel_constants,
-    nu_moment,
     triweight,
 )
 from .mle import (
@@ -62,8 +59,6 @@ from .estimators import (
     F_CEILING,
     G_FLOOR,
     ConvexHullFit,
-    EstimateCurve,
-    curve,
     fit_msle,
     msle_F,
     msle_f,
@@ -123,8 +118,6 @@ __all__ = [
     "ScaledKernel",
     "BoundaryKernelFamily",
     "triweight",
-    "kernel_constants",
-    "nu_moment",
     "boundary_family",
     # step MLE
     "ObservedSample",
@@ -143,7 +136,6 @@ __all__ = [
     "G_FLOOR",
     "F_CEILING",
     "ConvexHullFit",
-    "EstimateCurve",
     "naive_F",
     "naive_f",
     "naive_lambda",
@@ -154,7 +146,6 @@ __all__ = [
     "smle_F",
     "smle_f",
     "smle_lambda",
-    "curve",
     # bandwidth theory and selection
     "rate_exponent",
     "BandwidthPlan",

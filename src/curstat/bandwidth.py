@@ -261,7 +261,12 @@ class BootstrapConfig:
 
 @dataclass(frozen=True)
 class BootstrapSelection:
-    """Result of the smoothed-bootstrap bandwidth search."""
+    """Result of the smoothed-bootstrap bandwidth search.
+
+    ``at_edge`` is true when the MSE curve is smallest at an end of a
+    c-grid of two or more constants, so ``c_hat`` is that end and the
+    true minimizer may lie beyond the grid.
+    """
 
     c_hat: float
     h_hat: float
@@ -275,11 +280,16 @@ class BootstrapSelection:
     m: int
     B: int
     seed: int
+    at_edge: bool
 
 
 @dataclass(frozen=True)
 class MonteCarloSelection:
-    """Result of the Monte Carlo bandwidth search against a known truth."""
+    """Result of the Monte Carlo bandwidth search against a known truth.
+
+    ``at_edge`` is true when ``c_tilde`` is an end of the c-grid, as in
+    :class:`BootstrapSelection`.
+    """
 
     c_tilde: float
     h_tilde: float
@@ -291,6 +301,7 @@ class MonteCarloSelection:
     n: int
     B: int
     seed: int
+    at_edge: bool
 
 
 def _tabulated_inverse(grid: np.ndarray, tab: np.ndarray, what: str) -> Callable:
@@ -343,22 +354,26 @@ def _point_estimate(
     return float(_MSLE_EVAL[target](fit, t))
 
 
-def _refine_minimizer(c_grid: np.ndarray, mse: np.ndarray) -> float:
+def _refine_minimizer(c_grid: np.ndarray, mse: np.ndarray) -> tuple[float, bool]:
     """Grid argmin sharpened by a parabola through the three log-c
-    neighbors; falls back to the grid point at edges or flat stencils."""
+    neighbors; falls back to the grid point at edges or flat stencils.
+
+    Also returns whether the argmin is an end of a grid of two or more
+    constants, where the curve's minimum may lie beyond the grid.
+    """
     j = int(np.argmin(mse))
     if j == 0 or j == c_grid.size - 1:
-        return float(c_grid[j])
+        return float(c_grid[j]), c_grid.size > 1
     x = np.log(c_grid[j - 1 : j + 2])
     y = mse[j - 1 : j + 2]
     denom = y[0] - 2.0 * y[1] + y[2]
     if denom <= 0.0:
-        return float(c_grid[j])
+        return float(c_grid[j]), False
     # uniform log spacing: vertex offset from the middle point
     step = 0.5 * (x[2] - x[0])
     shift = 0.5 * step * (y[0] - y[2]) / denom
     shift = float(np.clip(shift, -step, step))
-    return float(np.exp(x[1] + shift))
+    return float(np.exp(x[1] + shift)), False
 
 
 def bootstrap_bandwidth(
@@ -419,7 +434,7 @@ def bootstrap_bandwidth(
 
     rows = replicate_map(one, config.B, config.seed)
     mse = np.mean(np.stack(rows, axis=0), axis=0)
-    c_hat = _refine_minimizer(c_grid, mse)
+    c_hat, at_edge = _refine_minimizer(c_grid, mse)
     return BootstrapSelection(
         c_hat=c_hat,
         h_hat=c_hat * n ** (-alpha),
@@ -433,6 +448,7 @@ def bootstrap_bandwidth(
         m=m,
         B=config.B,
         seed=config.seed,
+        at_edge=at_edge,
     )
 
 
@@ -496,7 +512,7 @@ def mc_bandwidth(
 
     rows = replicate_map(one, B, seed)
     mse = np.mean(np.stack(rows, axis=0), axis=0)
-    c_tilde = _refine_minimizer(c_grid, mse)
+    c_tilde, at_edge = _refine_minimizer(c_grid, mse)
     return MonteCarloSelection(
         c_tilde=c_tilde,
         h_tilde=c_tilde * sample_size ** (-alpha),
@@ -508,4 +524,5 @@ def mc_bandwidth(
         n=sample_size,
         B=B,
         seed=seed,
+        at_edge=at_edge,
     )

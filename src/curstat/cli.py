@@ -174,6 +174,18 @@ def _explicit_c_grid(args) -> np.ndarray | None:
     return np.geomspace(args.c_min, args.c_max, args.c_points)
 
 
+def _warn_if_at_edge(what: str, sel, c: float) -> None:
+    """One stderr line for a selection whose constant is a c-grid end."""
+    if sel.at_edge:
+        end = "lower" if c == sel.c_grid[0] else "upper"
+        print(
+            f"warning: {what}: selected c = {_fmt(c)} is the {end} end of the c-grid "
+            f"[{_fmt(sel.c_grid[0])}, {_fmt(sel.c_grid[-1])}]; "
+            "the MSE minimum may lie beyond it",
+            file=sys.stderr,
+        )
+
+
 def _bootstrap_flags(args, what: str) -> None:
     missing = [
         flag
@@ -436,6 +448,7 @@ def cmd_bandwidth(args) -> int:
     sel = bootstrap_bandwidth(
         sample, cfg, args.target, _order_method(args.method), kernel
     )
+    _warn_if_at_edge("bandwidth", sel, sel.c_hat)
     payload = {
         "command": "bandwidth",
         "input": args.input,
@@ -582,6 +595,7 @@ def cmd_reproduce_table1(args) -> int:
                 seed=_child_seed(args.seed, row_index),
             )
             sel = bootstrap_bandwidth(sample, cfg, target, method, kernel)
+            _warn_if_at_edge(f"bootstrap c0={_fmt(c0)} at t={_fmt(t)}", sel, sel.c_hat)
             cells.extend((sel.c_hat, sel.h_hat))
             row_index += 1
         rows.append((f"bootstrap c0={_fmt(c0)}", cells))
@@ -599,6 +613,7 @@ def cmd_reproduce_table1(args) -> int:
                 kernel,
                 seed=_child_seed(args.seed, row_index),
             )
+            _warn_if_at_edge(f"{label} at t={_fmt(t)}", sel, sel.c_tilde)
             cells.extend((sel.c_tilde, sel.c_tilde * args.n ** (-alpha)))
             row_index += 1
         rows.append((label, cells))

@@ -20,8 +20,7 @@ segments.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,7 +38,6 @@ __all__ = [
     "G_FLOOR",
     "F_CEILING",
     "ConvexHullFit",
-    "EstimateCurve",
     "naive_F",
     "naive_f",
     "naive_lambda",
@@ -50,7 +48,6 @@ __all__ = [
     "smle_F",
     "smle_f",
     "smle_lambda",
-    "curve",
 ]
 
 # Ratio estimators are only trustworthy where the smoothed censoring
@@ -319,61 +316,3 @@ def smle_lambda(mle: StepDistribution, kernel: Kernel, h: float, t):
         )
     out = np.asarray(smle_f(mle, kernel, h, t)) / (1.0 - F)
     return _shaped(out, t)
-
-
-# ---------------------------------------------------------------------------
-# uniform curve wrapper
-
-
-@dataclass(frozen=True)
-class EstimateCurve:
-    """A named estimator curve with a stated evaluation domain.
-
-    ``kind`` is one of mle, naive, msle, smle; ``target`` one of F, f,
-    lambda.  ``h`` is None for the unsmoothed MLE.  Calling the curve
-    evaluates it; points outside ``domain`` raise ``OutOfDomain``.
-    """
-
-    kind: str
-    target: str
-    h: float | None
-    domain: tuple[float, float]
-    _fn: Callable = field(repr=False)
-
-    def __call__(self, t):
-        arr = _as_array(t)
-        lo, hi = self.domain
-        if np.any(np.atleast_1d(arr) < lo) or np.any(np.atleast_1d(arr) > hi):
-            raise OutOfDomain(
-                f"{self.kind}/{self.target} curve is defined on [{lo:.6g}, {hi:.6g}]"
-            )
-        return self._fn(t)
-
-
-def curve(kind: str, target: str, *, sm=None, fit=None, mle=None, kernel=None, h=None) -> EstimateCurve:
-    """Bundle an estimator family and target into an evaluable curve.
-
-    Supply the objects the family needs: ``sm`` for naive, ``fit`` for
-    msle, ``mle`` (+ ``kernel`` + ``h``) for smle and mle.
-    """
-    if target not in ("F", "f", "lambda"):
-        raise ValueError(f"unknown target {target!r}")
-    big = np.inf
-    if kind == "mle":
-        if target != "F":
-            raise ValueError("the step MLE only provides the distribution")
-        return EstimateCurve("mle", "F", None, (0.0, big), lambda t: mle.cdf(t))
-    if kind == "naive":
-        fn = {"F": naive_F, "f": naive_f, "lambda": naive_lambda}[target]
-        lo, hi = float(sm.grid[0]), float(sm.grid[-1])
-        return EstimateCurve("naive", target, sm.h, (lo, hi), lambda t: fn(sm, t))
-    if kind == "msle":
-        fn = {"F": msle_F, "f": msle_f, "lambda": msle_lambda}[target]
-        src = fit.source
-        return EstimateCurve("msle", target, src.h, (0.0, big), lambda t: fn(fit, t))
-    if kind == "smle":
-        fn = {"F": smle_F, "f": smle_f, "lambda": smle_lambda}[target]
-        return EstimateCurve(
-            "smle", target, float(h), (0.0, big), lambda t: fn(mle, kernel, h, t)
-        )
-    raise ValueError(f"unknown estimator kind {kind!r}")

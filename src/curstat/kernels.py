@@ -1,28 +1,27 @@
-"""Kernel machinery for smoothed estimation.
+"""Polynomial kernels for smoothed estimation.
 
-A :class:`Kernel` is a symmetric probability density supported on [-1, 1]
-together with its antiderivative, its derivative, and the three constants
-that drive bandwidth selection: the second moment ``m2 = int u^2 k(u) du``
-and the squared L2 norms of ``k`` and ``k'``.  Constants are always
-computed by deterministic quadrature so that user-supplied kernels get the
-same treatment as the built-in triweight.
+A :class:`Kernel` is a symmetric probability density on [-1, 1] given by
+the coefficients of its polynomial.  Everything else follows from them in
+closed form: the antiderivative ``K``, the derivative ``k'`` and the three
+constants that drive bandwidth selection, namely the second moment
+``m2 = int u^2 k(u) du`` and the squared L2 norms of ``k`` and ``k'``.
+For the built-in triweight these are 1/9, 350/429 and 35/11.
 
 Near the left edge of the observation window the plain kernel spills mass
 below zero.  :class:`BoundaryKernelFamily` supplies the linearly corrected
 kernels ``k_beta`` for ``beta = t/h in [0, 1]``, which restore unit mass
-and a vanishing first moment on ``(-1, beta]``.  Their partial moments are
-tabulated once per kernel and interpolated, since boundary evaluation sits
-inside the density fitting loops.
+and a vanishing first moment on ``(-1, beta]``.  Their partial moments
+``nu_i(beta)`` are integrals of polynomials, hence polynomials in
+``beta`` themselves, and are evaluated exactly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Callable
+from fractions import Fraction
+from functools import cached_property, lru_cache
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 from .errors import NonpositiveBandwidth, OutOfDomain
 
@@ -31,117 +30,106 @@ __all__ = [
     "ScaledKernel",
     "BoundaryKernelFamily",
     "triweight",
-    "kernel_constants",
-    "nu_moment",
     "boundary_family",
 ]
 
-# Node counts for the fixed composite-Simpson rules.  2001 nodes on [-1, 1]
-# leaves the constants accurate to ~1e-12 for polynomial kernels.
-QUAD_NODES = 2001
-_NU_GRID_SIZE = 1025
-_NU_FINE_FACTOR = 8  # fine tabulation nodes per beta-grid interval
+_poly = np.polynomial.polynomial
 
 
-def _simpson(values: np.ndarray, spacing: float) -> float:
-    """Composite Simpson rule over uniformly spaced values (odd count)."""
-    if values.shape[-1] % 2 == 0:
-        raise ValueError("Simpson rule needs an odd number of nodes")
-    acc = values[..., 0] + values[..., -1]
-    acc = acc + 4.0 * values[..., 1:-1:2].sum(axis=-1)
-    acc = acc + 2.0 * values[..., 2:-2:2].sum(axis=-1)
-    return acc * (spacing / 3.0)
+def _horner(coefficients, x):
+    """``sum_j coefficients[j] * x^j`` by Horner's rule, skipping zero terms."""
+    acc = coefficients[-1]
+    for a in coefficients[-2::-1]:
+        acc = acc * x
+        if a:
+            acc = acc + a
+    return acc
+
+
+def _integral(coefficients) -> float:
+    """``int_{-1}^{1}`` of a polynomial, summed in exact rational arithmetic
+    and rounded once, so that the triweight constants are correctly rounded."""
+    even = enumerate(coefficients[::2])
+    return float(sum(Fraction(2.0 * c) / (2 * j + 1) for j, c in even))
 
 
 @dataclass(frozen=True)
 class Kernel:
-    """Symmetric kernel on [-1, 1] with precomputed constants.
+    """Symmetric polynomial kernel on [-1, 1].
 
     Attributes
     ----------
     name : str
         Identifier used by the CLI and by caches.
-    k, K, k_prime : callable
-        Density, antiderivative, and derivative.  Each accepts scalars or
-        arrays and returns values of the same shape; outside [-1, 1] the
-        density and derivative are 0 and ``K`` saturates at 0 or 1.
-    m2 : float
-        Second moment of ``k``.
-    l2_k : float
-        Integral of ``k(u)^2``.
-    l2_kprime : float
-        Integral of ``k'(u)^2``.
+    coefficients : tuple of float
+        ``k(u) = sum_j coefficients[j] * u**j`` on [-1, 1] and 0 outside.
+        The polynomial must be even and integrate to one.
+
+    The density ``k``, antiderivative ``K`` and derivative ``k_prime``
+    accept scalars or arrays and return values of the same shape; outside
+    [-1, 1] the density and derivative are 0 and ``K`` saturates at 0 or 1.
+    ``m2``, ``l2_k`` and ``l2_kprime`` are the second moment and the
+    integrals of ``k^2`` and ``k'^2``.
     """
 
     name: str
-    k: Callable[[np.ndarray], np.ndarray]
-    K: Callable[[np.ndarray], np.ndarray]
-    k_prime: Callable[[np.ndarray], np.ndarray]
-    m2: float
-    l2_k: float
-    l2_kprime: float
+    coefficients: tuple[float, ...]
 
+    def __post_init__(self):
+        c = np.asarray(self.coefficients, dtype=float)
+        if np.any(c[1::2]) or abs(_integral(c) - 1.0) > 1e-12:
+            raise ValueError("kernel polynomial must be even with unit mass on [-1, 1]")
 
-def kernel_constants(kernel: Kernel, nodes: int = QUAD_NODES) -> tuple[float, float, float]:
-    """Recompute ``(m2, l2_k, l2_kprime)`` by composite Simpson quadrature.
+    @cached_property
+    def _forms(self) -> tuple[tuple[float, ...], ...]:
+        """Coefficients of ``A``, ``-2 A'`` and ``Q`` with ``k(u) = A(w)``,
+        ``k'(u) = u * (-2 A'(w))`` and ``K(u) = 1/2 + u * Q(u^2)``.
 
-    Used at kernel construction time and as a cross-check in tests; the
-    node count is fixed so the result is deterministic.
-    """
-    return _constants_from_callables(kernel.k, kernel.k_prime, nodes)
+        Symmetry makes ``k`` a polynomial in ``u^2``; writing it in
+        ``w = 1 - u^2`` keeps its zeros at ``u = +-1`` exact, so values
+        near the support ends keep their sign (for the triweight
+        ``A(w) = (35/32) w^3``).
+        """
+        c = np.asarray(self.coefficients, dtype=float)
+        A = np.polynomial.Polynomial(c[0::2])(np.polynomial.Polynomial([1.0, -1.0])).coef
+        parts = (A, -2.0 * _poly.polyder(A), _poly.polyint(c)[1::2])
+        return tuple(tuple(float(a) for a in part) for part in parts)
 
+    def k(self, u):
+        u = np.asarray(u, dtype=float)
+        w = 1.0 - u * u
+        return np.where(w >= 0.0, _horner(self._forms[0], w), 0.0)
 
-def _constants_from_callables(k, k_prime, nodes: int = QUAD_NODES) -> tuple[float, float, float]:
-    u = np.linspace(-1.0, 1.0, nodes)
-    spacing = 2.0 / (nodes - 1)
-    kv = np.asarray(k(u), dtype=float)
-    kp = np.asarray(k_prime(u), dtype=float)
-    m2 = _simpson(u * u * kv, spacing)
-    l2_k = _simpson(kv * kv, spacing)
-    l2_kprime = _simpson(kp * kp, spacing)
-    return float(m2), float(l2_k), float(l2_kprime)
+    def K(self, u):
+        u = np.clip(np.asarray(u, dtype=float), -1.0, 1.0)
+        # near the support ends the sum cancels to a few ulps, which may
+        # leave [0, 1]
+        return np.clip(0.5 + u * _horner(self._forms[2], u * u), 0.0, 1.0)
 
+    def k_prime(self, u):
+        u = np.asarray(u, dtype=float)
+        w = 1.0 - u * u
+        return np.where(w >= 0.0, u * _horner(self._forms[1], w), 0.0)
 
-def _triweight_k(u):
-    u = np.asarray(u, dtype=float)
-    w = 1.0 - u * u
-    out = np.where(np.abs(u) <= 1.0, 35.0 / 32.0 * w * w * w, 0.0)
-    return out
+    @cached_property
+    def m2(self) -> float:
+        return _integral(_poly.polymul(self.coefficients, [0.0, 0.0, 1.0]))
 
+    @cached_property
+    def l2_k(self) -> float:
+        return _integral(_poly.polymul(self.coefficients, self.coefficients))
 
-def _triweight_K(u):
-    u = np.asarray(u, dtype=float)
-    t = np.clip(u, -1.0, 1.0)
-    t2 = t * t
-    # antiderivative of (35/32)(1-u^2)^3 anchored at K(-1) = 0
-    poly = t * (1.0 - t2 * (1.0 - t2 * (3.0 / 5.0 - t2 / 7.0)))
-    out = 35.0 / 32.0 * (poly + 16.0 / 35.0)
-    # saturate exactly outside the support
-    out = np.where(u <= -1.0, 0.0, out)
-    out = np.where(u >= 1.0, 1.0, out)
-    return out
-
-
-def _triweight_k_prime(u):
-    u = np.asarray(u, dtype=float)
-    w = 1.0 - u * u
-    out = np.where(np.abs(u) <= 1.0, -105.0 / 16.0 * u * w * w, 0.0)
-    return out
+    @cached_property
+    def l2_kprime(self) -> float:
+        d = _poly.polyder(self.coefficients)
+        return _integral(_poly.polymul(d, d))
 
 
 @lru_cache(maxsize=None)
 def triweight() -> Kernel:
     """The triweight kernel ``k(u) = (35/32)(1-u^2)^3`` on [-1, 1]."""
-    m2, l2_k, l2_kprime = _constants_from_callables(_triweight_k, _triweight_k_prime)
-    return Kernel(
-        name="triweight",
-        k=_triweight_k,
-        K=_triweight_K,
-        k_prime=_triweight_k_prime,
-        m2=m2,
-        l2_k=l2_k,
-        l2_kprime=l2_kprime,
-    )
+    c = 35.0 / 32.0
+    return Kernel("triweight", (c, 0.0, -3.0 * c, 0.0, 3.0 * c, 0.0, -c))
 
 
 @dataclass(frozen=True)
@@ -170,25 +158,6 @@ class ScaledKernel:
         return self.base.k_prime(np.asarray(u, dtype=float) / self.h) / (self.h * self.h)
 
 
-def nu_moment(kernel: Kernel, i: int, beta: float, nodes: int = QUAD_NODES) -> float:
-    """Partial moment ``nu_{i,beta} = int_{-1}^{beta} u^i k(u) du`` by quadrature.
-
-    This is the slow, direct route: a fixed-node composite Simpson rule on
-    [-1, beta].  :class:`BoundaryKernelFamily` interpolates a cached table
-    instead; tests compare the two.
-    """
-    if i not in (0, 1, 2):
-        raise ValueError(f"moment order must be 0, 1, or 2, got {i}")
-    if not 0.0 <= beta <= 1.0:
-        raise OutOfDomain(f"beta must lie in [0, 1], got {beta}")
-    u = np.linspace(-1.0, beta, nodes)
-    spacing = (beta + 1.0) / (nodes - 1)
-    vals = np.asarray(kernel.k(u), dtype=float)
-    if i:
-        vals = vals * u**i
-    return float(_simpson(vals, spacing))
-
-
 class BoundaryKernelFamily:
     """Linearly corrected kernels for the left boundary region.
 
@@ -196,47 +165,33 @@ class BoundaryKernelFamily:
 
         ``k_beta(u) = (nu2 - nu1 * u) / (nu0 * nu2 - nu1^2) * k(u)``
 
-    on ``(-1, beta]`` and 0 elsewhere, where ``nu_i`` are the partial
-    moments of the base kernel up to ``beta``.  By construction ``k_beta``
-    integrates to one with zero first moment on its support, and
-    ``k_1 == k`` because the full moments are (1, 0, m2).
-
-    The three moment functions are tabulated on a 1025-point ``beta`` grid
-    and interpolated with a monotone cubic, so member evaluation costs one
-    interpolation per ``beta`` rather than a quadrature.  The grid is
-    graded quadratically toward 0 because the correction determinant
-    ``nu0*nu2 - nu1^2`` is smallest there, which amplifies any moment
-    error by roughly a factor 15.
+    on ``(-1, beta]`` and 0 elsewhere, where
+    ``nu_i(beta) = int_{-1}^{beta} u^i k(u) du`` are the partial moments
+    of the base kernel.  By construction ``k_beta`` integrates to one with
+    zero first moment on its support, and ``k_1 == k`` because the full
+    moments are (1, 0, m2).  Each ``nu_i`` is the antiderivative of the
+    polynomial ``u^i k(u)``, so it is evaluated exactly.
     """
 
-    def __init__(self, base: Kernel, quad_nodes: int = 801):
+    def __init__(self, base: Kernel):
         self.base = base
-        self._beta_grid = np.linspace(0.0, 1.0, _NU_GRID_SIZE) ** 2
-        # one Simpson rule per beta node, all nodes evaluated in one batch
-        frac = np.linspace(0.0, 1.0, quad_nodes)
-        u = -1.0 + np.outer(self._beta_grid + 1.0, frac)
-        kv = np.asarray(base.k(u), dtype=float)
-        spacing = (self._beta_grid + 1.0) / (quad_nodes - 1)
-        self._interp = []
-        for i in range(3):
-            w = kv if i == 0 else kv * u**i
-            table = _simpson(w, 1.0) * spacing
-            self._interp.append(PchipInterpolator(self._beta_grid, table, extrapolate=False))
+        self._nu = [
+            _poly.polyint(_poly.polymul([0.0] * i + [1.0], base.coefficients), lbnd=-1.0)
+            for i in range(3)
+        ]
 
     def nu(self, i: int, beta):
-        """Interpolated partial moment ``nu_{i, beta}``; ``beta`` may be an array."""
+        """Partial moment ``nu_{i, beta}``; ``beta`` may be an array."""
         if i not in (0, 1, 2):
             raise ValueError(f"moment order must be 0, 1, or 2, got {i}")
         beta = np.asarray(beta, dtype=float)
         if np.any(beta < 0.0) or np.any(beta > 1.0):
             raise OutOfDomain("beta must lie in [0, 1]")
-        return self._interp[i](beta)
+        return _poly.polyval(beta, self._nu[i])
 
-    def coefficients(self, beta: float) -> tuple[float, float, float]:
-        """Return ``(nu2, nu1, denom)`` of the correction at ``beta``."""
-        nu0 = float(self.nu(0, beta))
-        nu1 = float(self.nu(1, beta))
-        nu2 = float(self.nu(2, beta))
+    def coefficients(self, beta):
+        """Return ``(nu2, nu1, denom)`` of the correction at ``beta`` (scalar or array)."""
+        nu0, nu1, nu2 = (self.nu(i, beta) for i in range(3))
         return nu2, nu1, nu0 * nu2 - nu1 * nu1
 
     def eval(self, beta: float, u):

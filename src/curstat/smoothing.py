@@ -1,22 +1,34 @@
 """Kernel-smoothed empirical measures for current status data.
 
 Given grouped observations ``(T_j, count, ones)`` this module tabulates,
-on a uniform grid over ``[0, T_max + h]``, the smoothed sub-density of
-the censoring times with positive indicator,
+on the uniform grid ``t_i = i * delta`` with ``delta = h / K`` over
+``[0, T_max + h]``, the smoothed sub-density of the censoring times with
+positive indicator,
 
     g1_n(t) = (1/n) sum_j ones_j * k_h(t - T_j),
 
 its complement ``g0_n`` (indicator zero), their sum ``g_n``, the three
 first derivatives, and the three antiderivatives obtained by cumulative
-trapezoid quadrature.  Near the origin (``t < h``) the symmetric kernel
-would spill mass below zero, so those nodes are recomputed with the
-linear boundary correction; the correction reduces to the plain kernel
-exactly at ``t = h``, which keeps the tabulation continuous across the
-seam.
+trapezoid quadrature.
 
-Derivatives are exact kernel-derivative sums on ``t >= h``.  On the
-boundary segment the corrected weight depends on ``t`` through both the
-kernel argument and the shape parameter, so the derivative there is
+The kernel is a polynomial, so binning is exact.  Write
+``T_j = (l_j + r_j) * delta`` with an integer cell ``l_j`` and
+``0 <= r_j < 1``.  Observation j reaches node ``l_j + m`` only for the
+offsets ``m = 1 - K, ..., K``, with weight ``k((m - r_j) / K)``, a
+polynomial in ``r_j`` whose coefficients depend on ``m`` alone.  Every
+curve is therefore a short convolution of the per-cell moments
+``sum w_j r_j^p`` with a per-``K`` table of those coefficients: one pass
+for ``g0``, ``g1``, ``dg0`` and ``dg1``, with no binning error.
+
+Near the origin (``t < h``, i.e. ``i < K``) the symmetric kernel would
+spill mass below zero, so those nodes use the linear boundary correction
+``(nu2 - nu1 u) / D * k(u)`` at ``beta = i / K``; its partial moments
+``nu`` are closed-form polynomials in ``beta``, and the ``u k(u)`` part
+reuses the same binned moments.  The correction reduces to the plain
+kernel at ``t = h``, which keeps the tabulation continuous across the
+seam.  Derivatives are exact kernel-derivative sums on ``t >= h``.  On
+the boundary segment the corrected weight depends on ``t`` through both
+the kernel argument and the shape parameter, so the derivative there is
 taken as a finite difference of the tabulated values (centered, forward
 at the origin node).
 """
@@ -24,26 +36,27 @@ at the origin node).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.integrate import cumulative_trapezoid
 
-from .errors import (
-    EmptyGrid,
-    GridTooCoarse,
-    InputError,
-    NonpositiveBandwidth,
-    OutOfDomain,
-)
-from .kernels import BoundaryKernelFamily, Kernel, ScaledKernel, boundary_family
+from .errors import GridTooCoarse, InputError, NonpositiveBandwidth, OutOfDomain
+from .kernels import Kernel, boundary_family
 from .mle import ObservedSample
 
 __all__ = ["SmoothedMeasures", "fit_smoothed"]
 
+_poly = np.polynomial.polynomial
+
+_DEFAULT_CELLS_PER_BANDWIDTH = 32
 # Minimum grid resolution: a bandwidth must span at least 16 cells,
 # otherwise the trapezoid antiderivatives and the finite-difference
 # boundary derivatives lose too much accuracy to be trusted.
 _MIN_CELLS_PER_BANDWIDTH = 16
+# A fit holds about 250 bytes per node, so the ceiling bounds one fit
+# near 250 MB; a bandwidth that needs more nodes is rejected as input.
+_MAX_GRID_NODES = 2**20
 
 _CURVES = ("g0", "g1", "g", "dg0", "dg1", "dg", "G0", "G1", "G")
 
@@ -133,123 +146,111 @@ class SmoothedMeasures:
         return out
 
 
-def _resolve_grid(span: float, h: float, grid_spec) -> np.ndarray:
-    """Build the uniform tabulation grid over ``[0, span]``.
+def _resolve_grid(span: float, h: float, grid_spec) -> tuple[np.ndarray, int]:
+    """The uniform grid ``i * h / K`` covering ``[0, span]``, and ``K``.
 
-    ``grid_spec`` may be None (spacing ``h / 32``), an int (number of
-    nodes), a float (spacing), or an explicit uniform ndarray starting
-    at zero and covering the span.
+    ``grid_spec`` is None (``K = 32`` cells per bandwidth) or an integer
+    ``K >= 16``.  The node count is checked before anything is allocated.
     """
     if grid_spec is None:
-        delta = h / 32.0
-        npts = int(np.ceil(span / delta - 1e-9)) + 1
-        return np.arange(npts) * delta
-    if isinstance(grid_spec, (int, np.integer)):
-        if grid_spec < 2:
-            raise EmptyGrid("grid needs at least 2 nodes")
-        return np.linspace(0.0, span, int(grid_spec))
-    if isinstance(grid_spec, (float, np.floating)):
-        if not grid_spec > 0.0:
-            raise InputError("grid spacing must be positive")
-        delta = float(grid_spec)
-        npts = int(np.ceil(span / delta - 1e-9)) + 1
-        return np.arange(npts) * delta
-    grid = np.asarray(grid_spec, dtype=float)
-    if grid.ndim != 1 or grid.size < 2:
-        raise EmptyGrid("explicit grid must be 1-d with at least 2 nodes")
-    steps = np.diff(grid)
-    if grid[0] != 0.0:
-        raise InputError("explicit grid must start at 0")
-    if np.any(steps <= 0.0):
-        raise InputError("explicit grid must be strictly increasing")
-    if not np.allclose(steps, steps[0], rtol=1e-9, atol=0.0):
-        raise InputError("explicit grid must be uniform")
-    if grid[-1] < span - 1e-9 * max(span, 1.0):
-        raise InputError("explicit grid must reach T_max + h")
-    return grid
+        cells = _DEFAULT_CELLS_PER_BANDWIDTH
+    elif isinstance(grid_spec, (int, np.integer)):
+        cells = int(grid_spec)
+    else:
+        raise InputError(
+            "grid_spec must be None or an integer number of cells per bandwidth,"
+            f" got {grid_spec!r}"
+        )
+    if cells < _MIN_CELLS_PER_BANDWIDTH:
+        raise GridTooCoarse(
+            f"{cells} grid cells per bandwidth, fewer than {_MIN_CELLS_PER_BANDWIDTH}"
+        )
+    delta = h / cells
+    nodes = np.ceil(span / delta - 1e-9) + 1.0
+    if not nodes <= _MAX_GRID_NODES:
+        raise InputError(
+            f"bandwidth {h:.6g} over [0, {span:.6g}] needs {nodes:.3g} grid nodes,"
+            f" more than the ceiling {_MAX_GRID_NODES}"
+        )
+    return np.arange(int(nodes)) * delta, cells
 
 
-def _scatter_sums(
-    grid: np.ndarray,
-    times: np.ndarray,
-    weights: np.ndarray,
-    scaled: ScaledKernel,
-    n: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Accumulate (1/n) sum_j w_j k_h(t_i - T_j) and its derivative.
+def _offset_table(coefficients: np.ndarray, cells: int) -> np.ndarray:
+    """Coefficients of ``r^p`` in ``poly((m - r) / cells)``.
 
-    Each observation touches at most ``2h / spacing + 3`` consecutive
-    nodes, so contributions are gathered over a fixed-width index
-    window and summed with bincount.
+    Row ``p``, column ``m + cells - 1`` for the offsets
+    ``m = 1 - cells, ..., cells``.  By Taylor's theorem about ``m / cells``
+    the coefficient is ``poly^(p)(m / cells) / p! * (-1 / cells)^p``.
     """
-    npts = grid.size
-    dens = np.zeros(npts)
-    deriv = np.zeros(npts)
-    active = weights > 0.0
-    if not np.any(active):
-        return dens, deriv
-    times = times[active]
-    weights = weights[active]
-    h = scaled.h
-    delta = grid[1] - grid[0]
-    width = int(np.floor(2.0 * h / delta)) + 3
-    lo = np.ceil((times - h) / delta - 1e-9).astype(np.int64)
-    idx = lo[:, None] + np.arange(width)[None, :]
-    inside = (idx >= 0) & (idx < npts)
-    safe = np.clip(idx, 0, npts - 1)
-    u = (grid[safe] - times[:, None]) / h
-    inside &= np.abs(u) <= 1.0
-    kv = np.where(inside, scaled.base.k(u), 0.0)
-    kd = np.where(inside, scaled.base.k_prime(u), 0.0)
-    flat = safe[inside]
-    w = np.broadcast_to(weights[:, None], idx.shape)[inside]
-    dens = np.bincount(flat, weights=w * kv[inside], minlength=npts)
-    deriv = np.bincount(flat, weights=w * kd[inside], minlength=npts)
-    dens /= n * h
-    deriv /= n * h * h
-    return dens, deriv
+    x = np.arange(1 - cells, cells + 1) / cells
+    rows = []
+    d = np.asarray(coefficients, dtype=float)
+    for p in range(d.size):
+        rows.append(_poly.polyval(x, d) * (-1.0 / cells) ** p)
+        d = _poly.polyder(d) / (p + 1)
+    return np.array(rows)
 
 
-def _boundary_overwrite(
-    grid: np.ndarray,
-    times: np.ndarray,
-    weights: tuple[np.ndarray, np.ndarray],
-    family: BoundaryKernelFamily,
-    h: float,
-    n: int,
-    dens: tuple[np.ndarray, np.ndarray],
-) -> None:
-    """Recompute density nodes with ``t < h`` using the corrected kernel.
+@dataclass(frozen=True)
+class _BinTables:
+    """Coefficient tables for ``K`` grid cells per bandwidth.
 
-    The corrected kernel at shape ``beta = t / h`` is supported on
-    ``u in (-1, beta]``, i.e. on observations ``T_j < t + h``; every
-    ``T_j >= 0`` satisfies the upper limit automatically.
+    ``k[p, q]`` and ``k_prime[p, q]`` are the coefficients of ``r^p`` in
+    ``k((m - r) / K)`` and ``k'((m - r) / K)`` for the offset
+    ``m = q - K + 1`` from an observation's cell to a node.
+    ``boundary[i, p, l]`` is the coefficient of ``r^p`` in the corrected
+    weight ``(nu2 - nu1 u) / D * k(u)`` at ``beta = i / K`` of an
+    observation in cell ``l``, where ``u = (i - l - r) / K``.
     """
-    for i in np.flatnonzero(grid < h):
-        t = grid[i]
-        beta = t / h
-        nu2, nu1, denom = family.coefficients(beta)
-        hi = np.searchsorted(times, t + h, side="left")
-        if hi == 0:
-            for d in dens:
-                d[i] = 0.0
-            continue
-        u = (t - times[:hi]) / h
-        kb = (nu2 - nu1 * u) / denom * family.base.k(u)
-        for w, d in zip(weights, dens):
-            d[i] = float(w[:hi] @ kb) / (n * h)
+
+    k: np.ndarray
+    k_prime: np.ndarray
+    boundary: np.ndarray
 
 
-def _boundary_derivatives(
-    grid: np.ndarray, h: float, dens: np.ndarray, deriv: np.ndarray
-) -> None:
-    """Replace derivative nodes with ``t < h`` by grid differences."""
-    delta = grid[1] - grid[0]
-    for i in np.flatnonzero(grid < h):
-        if i == 0:
-            deriv[0] = (dens[1] - dens[0]) / delta
-        else:
-            deriv[i] = (dens[i + 1] - dens[i - 1]) / (2.0 * delta)
+@lru_cache(maxsize=8)
+def _bin_tables(kernel: Kernel, cells: int) -> _BinTables:
+    c = np.asarray(kernel.coefficients, dtype=float)
+    k = _offset_table(c, cells)
+    u_k = _offset_table(_poly.polymul([0.0, 1.0], c), cells)
+    nu2, nu1, denom = boundary_family(kernel).coefficients(np.arange(cells) / cells)
+    # offset index of cell l from node i; negative where the cell is out of reach
+    q = np.arange(cells)[:, None] - np.arange(2 * cells) + cells - 1
+    k_padded = np.pad(k, ((0, 1), (0, 0)))
+    corrected = (nu2 / denom)[:, None] * k_padded[:, q] - (nu1 / denom)[:, None] * u_k[:, q]
+    return _BinTables(
+        k=k,
+        k_prime=_offset_table(_poly.polyder(c), cells),
+        boundary=np.where(q >= 0, corrected, 0.0).transpose(1, 0, 2),
+    )
+
+
+def _binned_moments(
+    times: np.ndarray, weights: np.ndarray, delta: float, powers: int
+) -> np.ndarray:
+    """``S[c, p, l]``: the sum of ``weights[j, c] * r_j^p`` over the
+    observations ``T_j = (l + r_j) * delta`` with ``0 <= r_j < 1``."""
+    x = times / delta
+    cell = np.floor(x)
+    terms = weights[:, :, None] * np.vander(x - cell, powers, increasing=True)[:, None, :]
+    cell = cell.astype(np.int64)
+    # times are sorted, so the observations of a cell are contiguous
+    starts = np.flatnonzero(np.diff(cell, prepend=-1))
+    moments = np.zeros((weights.shape[1], powers, cell[-1] + 1))
+    moments[:, :, cell[starts]] = np.add.reduceat(terms, starts, axis=0).transpose(1, 2, 0)
+    return moments
+
+
+def _node_sums(moments: np.ndarray, table: np.ndarray, count: int) -> np.ndarray:
+    """``sum_l sum_p table[p, i - l + K - 1] * moments[p, l]`` at the
+    nodes ``i = 0, ..., count - 1``: one short convolution per power."""
+    cells = table.shape[1] // 2
+    full = sum(np.convolve(moments[p], table[p]) for p in range(table.shape[0]))
+    out = np.zeros(count)
+    # full[q] belongs to node q - (K - 1)
+    vals = full[cells - 1 : cells - 1 + count]
+    out[: vals.size] = vals
+    return out
 
 
 def fit_smoothed(
@@ -269,10 +270,9 @@ def fit_smoothed(
         Base kernel; the boundary-corrected family is derived from it.
     h : float
         Bandwidth, strictly positive.
-    grid_spec : None, int, float, or ndarray, optional
-        None tabulates at spacing ``h / 32``.  An int gives the number
-        of nodes over ``[0, T_max + h]``, a float gives the spacing, an
-        ndarray supplies the uniform grid directly.
+    grid_spec : None or int, optional
+        Grid cells per bandwidth ``K``; the grid is ``i * h / K`` over
+        ``[0, T_max + h]``.  None means ``K = 32``.
 
     Returns
     -------
@@ -283,39 +283,45 @@ def fit_smoothed(
     NonpositiveBandwidth
         If ``h <= 0``.
     GridTooCoarse
-        If the resolved spacing exceeds ``h / 16``.
+        If ``K < 16``.
+    InputError
+        If ``grid_spec`` is not an integer, or the grid would have more
+        than ``2**20`` nodes.
     """
     if not (np.isfinite(h) and h > 0.0):
         raise NonpositiveBandwidth(f"bandwidth must be positive, got {h!r}")
     h = float(h)
     times = sample.times
-    span = float(times[-1]) + h
-    grid = _resolve_grid(span, h, grid_spec)
-    delta = grid[1] - grid[0]
-    if delta > h / _MIN_CELLS_PER_BANDWIDTH * (1.0 + 1e-12):
-        raise GridTooCoarse(
-            f"grid spacing {delta:.6g} exceeds h/{_MIN_CELLS_PER_BANDWIDTH}"
-            f" = {h / _MIN_CELLS_PER_BANDWIDTH:.6g}"
-        )
+    grid, cells = _resolve_grid(float(times[-1]) + h, h, grid_spec)
+    delta = h / cells
+    tables = _bin_tables(kernel, cells)
 
     n = sample.n
-    scaled = ScaledKernel(kernel, h)
-    w1 = sample.ones.astype(float)
-    w0 = (sample.counts - sample.ones).astype(float)
-
-    g0, dg0 = _scatter_sums(grid, times, w0, scaled, n)
-    g1, dg1 = _scatter_sums(grid, times, w1, scaled, n)
-
-    family = boundary_family(kernel)
-    _boundary_overwrite(grid, times, (w0, w1), family, h, n, (g0, g1))
-    _boundary_derivatives(grid, h, g0, dg0)
-    _boundary_derivatives(grid, h, g1, dg1)
-
+    weights = np.column_stack([sample.counts - sample.ones, sample.ones]).astype(float)
+    moments = _binned_moments(times, weights, delta, tables.boundary.shape[1])
+    # Nodes t = i * delta < h, i.e. i < K, use the corrected kernel; the
+    # observations they reach all lie in the first 2K cells.
+    near = moments[:, :, : 2 * cells]
+    corrected = np.tensordot(near, tables.boundary[:, :, : near.shape[2]], axes=([1, 2], [1, 2]))
+    dens, deriv = [], []
+    for m, g_near in zip(moments, corrected):
+        g = _node_sums(m, tables.k, grid.size)
+        dg = _node_sums(m, tables.k_prime, grid.size) / (n * h * h)
+        # the plain kernel is nonnegative; a vanishing sum may round below 0
+        np.maximum(g, 0.0, out=g)
+        g[:cells] = g_near
+        g /= n * h
+        # The corrected weight depends on t through beta too, so the
+        # boundary derivative is a grid difference.
+        dg[0] = (g[1] - g[0]) / delta
+        dg[1:cells] = (g[2 : cells + 1] - g[: cells - 1]) / (2.0 * delta)
+        dens.append(g)
+        deriv.append(dg)
+    g0, g1 = dens
+    dg0, dg1 = deriv
     g = g0 + g1
     dg = dg0 + dg1
-    G0 = cumulative_trapezoid(g0, grid, initial=0.0)
-    G1 = cumulative_trapezoid(g1, grid, initial=0.0)
-    G = cumulative_trapezoid(g, grid, initial=0.0)
+    G0, G1, G = cumulative_trapezoid(np.stack([g0, g1, g]), dx=delta, initial=0.0)
 
     return SmoothedMeasures(
         sample=sample,

@@ -1,12 +1,17 @@
 """Independent slow-route oracles shared by the test modules.
 
 Everything here recomputes a target quantity by brute force (dynamic
-programming over a value grid, dense quadrature, golden-section search)
-without touching the library's own algorithms, so the two routes stay
-independent.
+programming over a value grid, dense quadrature, golden-section search,
+direct kernel sums) without touching the library's own algorithms, so
+the two routes stay independent.  The one borrowing is the closed-form
+boundary moments ``nu`` in :func:`direct_smoothed`, which are checked
+against :func:`nu_moment` on their own.
 """
 
 import numpy as np
+
+from curstat.errors import OutOfDomain
+from curstat.kernels import boundary_family
 
 
 def grid_mle_oracle(deltas, steps=400):
@@ -67,3 +72,89 @@ def golden_section_min(fn, lo, hi, tol=1e-8, max_iter=200):
             d = a + invphi * (b - a)
             fd = fn(d)
     return (a + b) / 2.0
+
+
+# Simpson rules for the kernel constants and partial moments.  2001 nodes
+# on [-1, 1] leave them accurate to ~1e-12 for polynomial kernels.
+QUAD_NODES = 2001
+
+
+def kernel_constants(kernel, nodes=QUAD_NODES):
+    """``(m2, int k^2, int k'^2)`` by composite Simpson quadrature."""
+    u = np.linspace(-1.0, 1.0, nodes)
+    spacing = 2.0 / (nodes - 1)
+    kv = np.asarray(kernel.k(u), dtype=float)
+    kp = np.asarray(kernel.k_prime(u), dtype=float)
+    return tuple(float(simpson(v, spacing)) for v in (u * u * kv, kv * kv, kp * kp))
+
+
+def nu_moment(kernel, i, beta, nodes=QUAD_NODES):
+    """Partial moment ``int_{-1}^{beta} u^i k(u) du`` by composite Simpson."""
+    if i not in (0, 1, 2):
+        raise ValueError(f"moment order must be 0, 1, or 2, got {i}")
+    if not 0.0 <= beta <= 1.0:
+        raise OutOfDomain(f"beta must lie in [0, 1], got {beta}")
+    u = np.linspace(-1.0, beta, nodes)
+    spacing = (beta + 1.0) / (nodes - 1)
+    return float(simpson(np.asarray(kernel.k(u), dtype=float) * u**i, spacing))
+
+
+def _scatter_sums(grid, times, weights, kernel, h, n):
+    """(1/n) sum_j w_j k_h(t_i - T_j) and its derivative, by direct sums.
+
+    Each observation touches at most ``2h / spacing + 3`` consecutive
+    nodes, so contributions are gathered over a fixed-width index
+    window and summed with bincount.
+    """
+    npts = grid.size
+    active = weights > 0.0
+    if not np.any(active):
+        return np.zeros(npts), np.zeros(npts)
+    times = times[active]
+    weights = weights[active]
+    delta = grid[1] - grid[0]
+    width = int(np.floor(2.0 * h / delta)) + 3
+    lo = np.ceil((times - h) / delta - 1e-9).astype(np.int64)
+    idx = lo[:, None] + np.arange(width)[None, :]
+    inside = (idx >= 0) & (idx < npts)
+    safe = np.clip(idx, 0, npts - 1)
+    u = (grid[safe] - times[:, None]) / h
+    inside &= np.abs(u) <= 1.0
+    kv = np.where(inside, kernel.k(u), 0.0)
+    kd = np.where(inside, kernel.k_prime(u), 0.0)
+    flat = safe[inside]
+    w = np.broadcast_to(weights[:, None], idx.shape)[inside]
+    dens = np.bincount(flat, weights=w * kv[inside], minlength=npts)
+    deriv = np.bincount(flat, weights=w * kd[inside], minlength=npts)
+    return dens / (n * h), deriv / (n * h * h)
+
+
+def direct_smoothed(sample, kernel, h, cells=32):
+    """``(grid, g0, g1, dg0, dg1)`` by direct sums over the observations.
+
+    The grid is ``i * h / cells`` over ``[0, T_max + h]``.  Nodes with
+    ``t < h`` are recomputed one by one with the corrected kernel
+    ``(nu2 - nu1 u) / D * k(u)``, with ``nu`` from the library's
+    closed-form boundary family, and their derivatives are grid
+    differences.
+    """
+    delta = h / cells
+    npts = int(np.ceil((float(sample.times[-1]) + h) / delta - 1e-9)) + 1
+    grid = np.arange(npts) * delta
+    times, n = sample.times, sample.n
+    weights = (sample.counts - sample.ones).astype(float), sample.ones.astype(float)
+    family = boundary_family(kernel)
+    out = []
+    for w in weights:
+        dens, deriv = _scatter_sums(grid, times, w, kernel, h, n)
+        for i in np.flatnonzero(grid < h):
+            nu2, nu1, denom = family.coefficients(grid[i] / h)
+            hi = np.searchsorted(times, grid[i] + h, side="left")
+            u = (grid[i] - times[:hi]) / h
+            dens[i] = float(w[:hi] @ ((nu2 - nu1 * u) / denom * kernel.k(u))) / (n * h)
+        for i in np.flatnonzero(grid < h):
+            lo, hi = max(i - 1, 0), i + 1
+            deriv[i] = (dens[hi] - dens[lo]) / ((hi - lo) * delta)
+        out.extend((dens, deriv))
+    g0, dg0, g1, dg1 = out
+    return grid, g0, g1, dg0, dg1

@@ -228,10 +228,26 @@ def test_refinement_recovers_off_grid_parabola_vertex():
     c_grid = np.geomspace(2.0, 20.0, 25)
     target = 7.3
     mse = (np.log(c_grid) - np.log(target)) ** 2
-    assert _refine_minimizer(c_grid, mse) == pytest.approx(target, rel=1e-6)
+    c, at_edge = _refine_minimizer(c_grid, mse)
+    assert c == pytest.approx(target, rel=1e-6)
+    assert not at_edge
     # edge minimizer stays on the grid
     mse = np.linspace(1.0, 2.0, 25)
-    assert _refine_minimizer(c_grid, mse) == c_grid[0]
+    assert _refine_minimizer(c_grid, mse)[0] == c_grid[0]
+
+
+def test_monotone_mse_curve_flags_the_grid_end():
+    c_grid = np.geomspace(2.0, 20.0, 25)
+    assert _refine_minimizer(c_grid, np.linspace(1.0, 2.0, 25)) == (2.0, True)
+    assert _refine_minimizer(c_grid, np.linspace(2.0, 1.0, 25)) == (c_grid[-1], True)
+    assert _refine_minimizer(np.array([7.0]), np.array([0.3])) == (7.0, False)
+    # both selectors carry the flag
+    mc = mc_bandwidth(TRUTH, 300, 4, np.geomspace(100.0, 400.0, 4), 4.0, "F", "SM", KERNEL, seed=5)
+    assert mc.at_edge and mc.c_tilde == 100.0
+    sample = sample_current_status(TRUTH, 300, 6).sample
+    cfg = BootstrapConfig(m=100, B=4, c0=10.0, t=4.0, seed=5, c_grid=np.geomspace(3.0, 20.0, 8))
+    sel = bootstrap_bandwidth(sample, cfg, "F", "SM", KERNEL)
+    assert sel.at_edge == (sel.c_hat in (3.0, 20.0))
 
 
 def test_mc_determinism_and_reorder_invariance(monkeypatch):

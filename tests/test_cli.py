@@ -195,6 +195,20 @@ def test_estimate_flag_validation(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_estimate_tiny_bandwidth_exits_2_before_allocating(tmp_path, capsys):
+    # 8.1e9 grid nodes: the node ceiling rejects the bandwidth before any
+    # array of that size is requested
+    inp = _sample_csv(tmp_path / "obs.csv", n=200, seed=5)
+    rc = main([
+        "estimate", "--input", inp, "--method", "msle", "--target", "F",
+        "--h", "1e-7", "--output", str(tmp_path / "out.csv"),
+    ])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error:") and "grid nodes" in err
+    assert not (tmp_path / "out.csv").exists()
+
+
 def test_estimate_c_flag_uses_target_rate(tmp_path):
     inp = _sample_csv(tmp_path / "obs.csv", n=100, seed=2)
     out = tmp_path / "out.csv"
@@ -215,7 +229,7 @@ def test_estimate_stdout(tmp_path, capsys):
     assert "t,mle_F" in out
 
 
-def test_bandwidth_singleton_grid_echoes_pair(tmp_path):
+def test_bandwidth_singleton_grid_echoes_pair(tmp_path, capsys):
     inp = _sample_csv(tmp_path / "obs.csv", n=150, seed=3)
     out = tmp_path / "sel.json"
     rc = main([
@@ -230,6 +244,27 @@ def test_bandwidth_singleton_grid_echoes_pair(tmp_path):
     assert payload["curve"][0][0] == 7.0
     assert payload["h_hat"] == float(_fmt(7.0 * 150 ** -0.2))
     assert payload["n"] == 150 and payload["m"] == 80 and payload["B"] == 1
+    # a one-constant grid is the caller's choice, not an edge selection
+    assert capsys.readouterr().err == ""
+
+
+def test_bandwidth_warns_when_selection_is_a_grid_end(tmp_path, capsys):
+    # constants far above the optimum: oversmoothing bias makes the MSE
+    # curve rise across the whole grid, so its argmin is the lower end
+    inp = _sample_csv(tmp_path / "obs.csv", n=150, seed=3)
+    out = tmp_path / "sel.json"
+    rc = main([
+        "bandwidth", "--input", inp, "--t", "4", "--m", "80", "--B", "4",
+        "--c0", "10", "--c-min", "100", "--c-max", "400", "--c-points", "3",
+        "--output", str(out),
+    ])
+    assert rc == 0
+    warnings = capsys.readouterr().err.splitlines()
+    assert len(warnings) == 1
+    assert warnings[0].startswith("warning: bandwidth: selected c = 100 is the lower end")
+    payload = json.loads(out.read_text())
+    assert payload["c_hat"] == 100.0
+    assert "at_edge" not in payload
 
 
 def test_bandwidth_deterministic_bytes(tmp_path, monkeypatch):

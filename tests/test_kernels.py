@@ -2,14 +2,9 @@ import numpy as np
 import pytest
 
 from curstat.errors import NonpositiveBandwidth, OutOfDomain
-from curstat.kernels import (
-    BoundaryKernelFamily,
-    ScaledKernel,
-    boundary_family,
-    kernel_constants,
-    nu_moment,
-    triweight,
-)
+from curstat.kernels import BoundaryKernelFamily, Kernel, ScaledKernel, boundary_family, triweight
+
+from oracles import kernel_constants, nu_moment
 
 
 def simpson(values, spacing):
@@ -35,20 +30,28 @@ def test_triweight_pointwise_values():
 
 
 def test_constants_match_closed_forms():
-    # oracle values: m2 = 1/9, int k^2 = 350/429, int k'^2 = 35/11,
-    # from the closed-form antiderivatives of the degree-6 polynomial.
+    # m2 = 1/9, int k^2 = 350/429, int k'^2 = 35/11: integrals of the
+    # degree-6 polynomial, summed exactly and rounded once.
     kern = triweight()
-    assert kern.m2 == pytest.approx(1.0 / 9.0, abs=1e-9)
-    assert kern.l2_k == pytest.approx(350.0 / 429.0, abs=1e-9)
-    assert kern.l2_kprime == pytest.approx(35.0 / 11.0, abs=1e-9)
+    assert kern.m2 == 1.0 / 9.0
+    assert kern.l2_k == 350.0 / 429.0
+    assert kern.l2_kprime == 35.0 / 11.0
 
 
-def test_kernel_constants_recompute_is_stable():
+def test_exact_constants_match_simpson_oracle():
     kern = triweight()
     m2, l2k, l2kp = kernel_constants(kern)
-    assert m2 == kern.m2
-    assert l2k == kern.l2_k
-    assert l2kp == kern.l2_kprime
+    assert m2 == pytest.approx(kern.m2, abs=1e-12)
+    assert l2k == pytest.approx(kern.l2_k, abs=1e-12)
+    assert l2kp == pytest.approx(kern.l2_kprime, abs=1e-12)
+
+
+def test_kernel_rejects_odd_or_unnormalized_polynomial():
+    with pytest.raises(ValueError):
+        Kernel("odd", (0.5, 0.1))
+    with pytest.raises(ValueError):
+        Kernel("heavy", (1.0,))
+    assert Kernel("uniform", (0.5,)).l2_k == 0.5
 
 
 def test_first_moment_vanishes_by_symmetry():
@@ -115,13 +118,13 @@ def test_nu_moment_closed_forms():
     assert nu_moment(kern, 1, 1.0) == pytest.approx(0.0, abs=1e-10)
 
 
-def test_family_interpolation_tracks_quadrature():
+def test_family_nu_matches_simpson_oracle():
     kern = triweight()
     fam = boundary_family(kern)
     betas = np.linspace(0.0, 1.0, 33)
     for i in range(3):
         direct = np.array([nu_moment(kern, i, b) for b in betas])
-        np.testing.assert_allclose(fam.nu(i, betas), direct, atol=1e-8)
+        np.testing.assert_allclose(fam.nu(i, betas), direct, rtol=0, atol=1e-12)
 
 
 def test_family_determinant_positive():

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from curstat.errors import (
     GridTooCoarse,
@@ -12,6 +14,8 @@ from curstat.errors import (
 from curstat.kernels import ScaledKernel, triweight
 from curstat.mle import build_sample
 from curstat.smoothing import fit_smoothed
+
+from oracles import direct_smoothed
 
 KERNEL = triweight()
 
@@ -117,7 +121,7 @@ def test_derivative_matches_finite_difference():
         fd = (sm.g[2:] - sm.g[:-2]) / (2.0 * sm.spacing)
         return np.max(np.abs(fd - sm.dg[1:-1])) / np.max(np.abs(sm.dg))
 
-    assert suprel(fit_smoothed(sample, KERNEL, h, grid_spec=h / 64.0)) < 1e-3
+    assert suprel(fit_smoothed(sample, KERNEL, h, grid_spec=64)) < 1e-3
     assert suprel(fit_smoothed(sample, KERNEL, h)) < 2e-3
 
 
@@ -180,25 +184,34 @@ def test_bandwidth_and_grid_validation():
         fit_smoothed(sample, KERNEL, 0.0)
     with pytest.raises(NonpositiveBandwidth):
         fit_smoothed(sample, KERNEL, -1.0)
+    # grid_spec is the number of cells per bandwidth, at least 16
     with pytest.raises(GridTooCoarse):
-        fit_smoothed(sample, KERNEL, 1.0, grid_spec=0.2)
+        fit_smoothed(sample, KERNEL, 1.0, grid_spec=5)
     with pytest.raises(GridTooCoarse):
         fit_smoothed(sample, KERNEL, 1.0, grid_spec=12)
-    with pytest.raises(InputError):
-        fit_smoothed(sample, KERNEL, 1.0, grid_spec=np.array([0.1, 0.2, 0.3]))
-    with pytest.raises(InputError):
-        fit_smoothed(sample, KERNEL, 1.0, grid_spec=np.array([0.0, 1.0, 1.5]))
+    for spec in (32.0, 1.0 / 32.0, np.array([0.1, 0.2, 0.3]), np.array([0.0, 1.0, 1.5])):
+        with pytest.raises(InputError):
+            fit_smoothed(sample, KERNEL, 1.0, grid_spec=spec)
+
+
+def test_node_ceiling_rejects_tiny_bandwidth_before_allocating():
+    sample = build_sample(_records([1.0, 2.0, 3.0], [0, 1, 1]))
+    with pytest.raises(InputError, match="grid nodes"):
+        fit_smoothed(sample, KERNEL, 1e-7)
+    with pytest.raises(InputError, match="grid nodes"):
+        fit_smoothed(sample, KERNEL, 1e-300)
+    with pytest.raises(InputError, match="grid nodes"):
+        fit_smoothed(sample, KERNEL, 1.0, grid_spec=2**40)
 
 
 def test_explicit_specs_agree_with_default():
     sample = build_sample(_records([1.0, 2.5, 3.0, 3.0], [0, 1, 1, 0]))
     h = 1.0
     base = fit_smoothed(sample, KERNEL, h)
-    via_spacing = fit_smoothed(sample, KERNEL, h, grid_spec=h / 32.0)
-    np.testing.assert_array_equal(base.grid, via_spacing.grid)
-    np.testing.assert_array_equal(base.g, via_spacing.g)
-    via_array = fit_smoothed(sample, KERNEL, h, grid_spec=base.grid.copy())
-    np.testing.assert_allclose(base.g, via_array.g, rtol=0, atol=1e-15)
+    explicit = fit_smoothed(sample, KERNEL, h, grid_spec=32)
+    np.testing.assert_array_equal(base.grid, explicit.grid)
+    np.testing.assert_array_equal(base.g, explicit.g)
+    np.testing.assert_array_equal(base.grid, np.arange(base.grid.size) * (h / 32.0))
 
 
 def test_ties_weighted_like_repeats():
@@ -208,7 +221,8 @@ def test_ties_weighted_like_repeats():
         _records([2.0, 2.0 + 1e-13, 2.0 - 1e-13, 5.0], [1, 1, 0, 1])
     )
     # same up to the microscopic perturbation of the kernel argument
-    sm2 = fit_smoothed(flat, KERNEL, 1.0, grid_spec=sm.grid.copy())
+    sm2 = fit_smoothed(flat, KERNEL, 1.0)
+    np.testing.assert_array_equal(sm.grid, sm2.grid)
     np.testing.assert_allclose(sm.g1, sm2.g1, rtol=0, atol=1e-10)
 
 
@@ -238,3 +252,38 @@ def test_all_zero_indicators_give_empty_g1():
     assert np.all(sm.g1 == 0.0)
     assert np.all(sm.G1 == 0.0)
     assert np.all(sm.g == sm.g0)
+
+
+@st.composite
+def _smoothing_cases(draw):
+    h = draw(st.floats(0.05, 2.0))
+    cells = draw(st.sampled_from((16, 32, 64)))
+    # data span in bandwidths: all inside the boundary zone, or wider
+    reach = draw(st.sampled_from((0.5, 2.0, 10.0)))
+    pool = draw(st.lists(st.floats(0.0, reach * h), min_size=1, max_size=30))
+    # drawing from a small pool makes ties
+    times = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=40))
+    deltas = draw(st.lists(st.integers(0, 1), min_size=len(times), max_size=len(times)))
+    return h, cells, times, deltas
+
+
+@given(_smoothing_cases())
+@example((1.0, 32, [5.0], [1]))
+@example((0.7, 16, [0.0, 0.0, 0.1, 0.3], [0, 0, 0, 0]))
+@example((1.3, 64, [0.2, 0.2, 0.2, 4.0, 4.0], [1, 0, 1, 0, 1]))
+def test_binned_sums_match_direct_oracle(case):
+    h, cells, times, deltas = case
+    sample = build_sample(_records(times, deltas))
+    sm = fit_smoothed(sample, KERNEL, h, grid_spec=cells)
+    grid, g0, g1, dg0, dg1 = direct_smoothed(sample, KERNEL, h, cells)
+    np.testing.assert_array_equal(sm.grid, grid)
+    scale = max(np.max(np.abs(g0)), np.max(np.abs(g1)))
+    dscale = max(np.max(np.abs(dg0)), np.max(np.abs(dg1)))
+    for got, want in ((sm.g0, g0), (sm.g1, g1)):
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-13 * scale)
+    for got, want in ((sm.dg0, dg0), (sm.dg1, dg1)):
+        np.testing.assert_allclose(got[cells:], want[cells:], rtol=0, atol=1e-13 * dscale)
+        # boundary derivatives are grid differences of the densities
+        np.testing.assert_allclose(
+            got[:cells], want[:cells], rtol=0, atol=1e-13 * scale / sm.spacing
+        )
