@@ -44,13 +44,10 @@ from .kernels import (
     triweight,
 )
 from .mle import (
-    CusumDiagram,
     ObservedSample,
     StepDistribution,
     build_sample,
-    cusum,
     fit_mle,
-    gcm_left_slopes,
     pava,
     pava_blocks,
 )
@@ -121,11 +118,8 @@ __all__ = [
     "boundary_family",
     # step MLE
     "ObservedSample",
-    "CusumDiagram",
     "StepDistribution",
     "build_sample",
-    "cusum",
-    "gcm_left_slopes",
     "fit_mle",
     "pava",
     "pava_blocks",

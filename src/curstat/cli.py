@@ -46,7 +46,7 @@ from .estimators import (
 from .kernels import triweight
 from .mle import build_sample, fit_mle
 from .sim import sample_current_status, truth_gamma4_exp3
-from .smoothing import fit_smoothed
+from .smoothing import _MAX_GRID_NODES, fit_smoothed
 from ._threads import replicate_map
 
 _METHODS = ("mle", "naive", "msle", "smle")
@@ -165,8 +165,10 @@ def _explicit_c_grid(args) -> np.ndarray | None:
         return None
     if not all(given):
         raise InputError("--c-min, --c-max and --c-points must be given together")
-    if args.c_points < 1:
-        raise InputError("--c-points must be >= 1")
+    # c-grids and evaluation grids share the smoothing grid's node ceiling,
+    # checked before anything of that size is allocated
+    if not 1 <= args.c_points <= _MAX_GRID_NODES:
+        raise InputError(f"--c-points must be in [1, {_MAX_GRID_NODES}], got {args.c_points}")
     if not (0.0 < args.c_min <= args.c_max):
         raise InputError("need 0 < c-min <= c-max")
     if args.c_min == args.c_max and args.c_points > 1:
@@ -351,8 +353,10 @@ def cmd_estimate(args) -> int:
         raise InputError("bandwidth flags apply only to smoothing methods")
     if args.alpha is not None and args.c is None:
         raise InputError("--alpha only makes sense together with --c")
-    if args.grid_points < 2:
-        raise InputError(f"--grid-points must be >= 2, got {args.grid_points}")
+    if not 2 <= args.grid_points <= _MAX_GRID_NODES:
+        raise InputError(
+            f"--grid-points must be in [2, {_MAX_GRID_NODES}], got {args.grid_points}"
+        )
 
     # one fit context per distinct bandwidth
     notes = []

@@ -20,6 +20,7 @@ segments.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,7 +31,7 @@ from .errors import (
     HazardDenominatorViolation,
     OutOfDomain,
 )
-from .kernels import Kernel, ScaledKernel
+from .kernels import Kernel, check_bandwidth
 from .mle import StepDistribution, pava_blocks
 from .smoothing import SmoothedMeasures
 
@@ -60,10 +61,13 @@ G_FLOOR = 1e-8
 F_CEILING = 1e-6
 
 
+_DOMAIN_MESSAGE = "evaluation points must be finite and nonnegative"
+
+
 def _as_array(t):
     arr = np.asarray(t, dtype=float)
     if arr.size and (not np.all(np.isfinite(arr)) or np.any(arr < 0.0)):
-        raise OutOfDomain("evaluation points must be finite and nonnegative")
+        raise OutOfDomain(_DOMAIN_MESSAGE)
     return arr
 
 
@@ -281,38 +285,50 @@ def msle_lambda(fit: ConvexHullFit, t):
 # smoothed MLE
 
 
+def _smle_sum(mle: StepDistribution, h: float, t, weight):
+    """``sum_j masses_j * weight((t - tau_j) / h)`` at ``t``.
+
+    A Python scalar ``t`` (the selectors' thousands of point evaluations)
+    is checked and evaluated without the array round trip.  It gives the
+    same bits as a one-element array: numpy's matmul reduces a one-row
+    product with the same dot kernel as a 1-d by 1-d product.
+    """
+    if isinstance(t, (float, int)):
+        x = float(t)
+        if not (math.isfinite(x) and x >= 0.0):
+            raise OutOfDomain(_DOMAIN_MESSAGE)
+        check_bandwidth(h)
+        if mle.jump_times.size == 0:
+            return 0.0
+        return float(weight((x - mle.jump_times) / h) @ mle.masses)
+    arr = _as_array(t)
+    check_bandwidth(h)
+    if mle.jump_times.size == 0:
+        return _shaped(np.zeros(np.shape(arr)), t)
+    diffs = np.atleast_1d(arr)[..., None] - mle.jump_times[None, :]
+    out = (weight(diffs / h) @ mle.masses).reshape(np.shape(arr))
+    return _shaped(out, t)
+
+
 def smle_F(mle: StepDistribution, kernel: Kernel, h: float, t):
     """Kernel-smoothed MLE distribution: sum of jump masses times the
     integrated kernel."""
-    arr = _as_array(t)
-    sk = ScaledKernel(kernel, h)
-    taus = mle.jump_times
-    if taus.size == 0:
-        return _shaped(np.zeros(np.shape(arr)), t)
-    diffs = np.atleast_1d(arr)[..., None] - taus[None, :]
-    out = (sk.K_h(diffs) @ mle.masses).reshape(np.shape(arr))
-    return _shaped(out, t)
+    return _smle_sum(mle, h, t, kernel.K)
 
 
 def smle_f(mle: StepDistribution, kernel: Kernel, h: float, t):
     """Kernel-smoothed MLE density: sum of jump masses times the scaled
     kernel."""
-    arr = _as_array(t)
-    sk = ScaledKernel(kernel, h)
-    taus = mle.jump_times
-    if taus.size == 0:
-        return _shaped(np.zeros(np.shape(arr)), t)
-    diffs = np.atleast_1d(arr)[..., None] - taus[None, :]
-    out = (sk.k_h(diffs) @ mle.masses).reshape(np.shape(arr))
-    return _shaped(out, t)
+    return _smle_sum(mle, h, t, lambda u: kernel.k(u) / h)
 
 
 def smle_lambda(mle: StepDistribution, kernel: Kernel, h: float, t):
     """Hazard composition of the smoothed MLE pair."""
-    F = np.asarray(smle_F(mle, kernel, h, t))
-    if np.any(F >= 1.0 - F_CEILING):
+    F = smle_F(mle, kernel, h, t)
+    # F >= 0, so an empty evaluation never trips the ceiling
+    top = F if isinstance(F, float) else float(np.max(F, initial=0.0))
+    if top >= 1.0 - F_CEILING:
         raise HazardDenominatorViolation(
-            f"smoothed F reaches {float(np.max(F)):.9g}; hazard undefined that close to 1"
+            f"smoothed F reaches {top:.9g}; hazard undefined that close to 1"
         )
-    out = np.asarray(smle_f(mle, kernel, h, t)) / (1.0 - F)
-    return _shaped(out, t)
+    return smle_f(mle, kernel, h, t) / (1.0 - F)

@@ -6,25 +6,25 @@ log likelihood of a candidate distribution F,
 
     sum_i [ delta_i * log F(t_i) + (1 - delta_i) * log(1 - F(t_i)) ],
 
-is maximized over all distribution functions by a step function whose
-value at the i-th order statistic is the left slope of the greatest
-convex minorant of the cumulative sum diagram
-
-    P_0 = (0, 0),   P_i = (i/n, (1/n) * sum_{j<=i} delta_(j)),
-
-with tied inspection times collapsed into weighted groups.  The minorant
-is computed by a monotone-chain scan; on diagrams built from integer
-counts the turn tests use exact integer arithmetic, so no tie-breaking
-depends on floating point.  The same scan doubles as a weighted isotonic
-regression solver (:func:`pava` is its algebraic dual and the two are
-cross-checked in the test suite).
+is maximized over all distribution functions by the weighted isotonic
+regression of the indicator means ``ones / counts`` on the distinct
+inspection times, with the group sizes as weights: the left slopes of
+the greatest convex minorant of the cumulative sum diagram.  scipy's
+compiled solver supplies the block structure; each block value is then
+recomputed as the ratio of the block's integer totals, so the fitted
+values are correctly rounded and no tie-breaking depends on the
+solver's floating-point means.  :func:`pava` is the general weighted
+solver, kept in Python because its block sizes and bitwise idempotence
+are part of its contract.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
+from scipy.optimize import isotonic_regression
 
 from .errors import (
     BadIndicator,
@@ -37,11 +37,8 @@ from .errors import (
 
 __all__ = [
     "ObservedSample",
-    "CusumDiagram",
     "StepDistribution",
     "build_sample",
-    "cusum",
-    "gcm_left_slopes",
     "fit_mle",
     "pava",
     "pava_blocks",
@@ -109,71 +106,6 @@ def build_sample(records) -> ObservedSample:
 
 
 @dataclass(frozen=True)
-class CusumDiagram:
-    """Cumulative sum diagram; point 0 is the origin.
-
-    ``x``/``y`` are the normalized coordinates.  When the diagram comes
-    from an :class:`ObservedSample`, ``cum_counts``/``cum_ones`` hold the
-    raw integer cumulative counts so the minorant can be computed with
-    exact arithmetic; they are None for generic weighted diagrams.
-    """
-
-    x: np.ndarray
-    y: np.ndarray
-    cum_counts: np.ndarray | None = None
-    cum_ones: np.ndarray | None = None
-
-
-def cusum(sample: ObservedSample) -> CusumDiagram:
-    """Cumulative sum diagram of a grouped sample."""
-    cc = np.concatenate(([0], np.cumsum(sample.counts)))
-    co = np.concatenate(([0], np.cumsum(sample.ones)))
-    n = cc[-1]
-    return CusumDiagram(x=cc / n, y=co / n, cum_counts=cc, cum_ones=co)
-
-
-def _lower_hull(x, y) -> list[int]:
-    """Monotone-chain scan; returns vertex indices of the lower convex hull.
-
-    Collinear middle points are dropped, so consecutive hull segments
-    have strictly increasing slopes.
-    """
-    hull = [0]
-    for i in range(1, len(x)):
-        while len(hull) >= 2:
-            o, a = hull[-2], hull[-1]
-            # pop a if it lies on or above the chord from o to i
-            if (x[a] - x[o]) * (y[i] - y[o]) - (y[a] - y[o]) * (x[i] - x[o]) <= 0:
-                hull.pop()
-            else:
-                break
-        hull.append(i)
-    return hull
-
-
-def gcm_left_slopes(diagram: CusumDiagram) -> np.ndarray:
-    """Left slopes of the greatest convex minorant at each diagram point.
-
-    Returns one slope per point ``P_1 .. P_m``: the slope of the minorant
-    segment whose x-interval ends at (or covers) that point.  Slopes are
-    nondecreasing by construction.
-    """
-    if diagram.cum_counts is not None:
-        # exact integer turn tests
-        x = [int(v) for v in diagram.cum_counts]
-        y = [int(v) for v in diagram.cum_ones]
-    else:
-        x = diagram.x
-        y = diagram.y
-    hull = _lower_hull(x, y)
-    seg_slopes = np.array(
-        [(y[b] - y[a]) / (x[b] - x[a]) for a, b in zip(hull[:-1], hull[1:])]
-    )
-    reps = np.diff(hull)
-    return np.repeat(seg_slopes, reps)
-
-
-@dataclass(frozen=True)
 class StepDistribution:
     """Right-continuous step function: the fitted distribution estimate.
 
@@ -185,12 +117,12 @@ class StepDistribution:
     jump_times: np.ndarray
     values: np.ndarray
 
-    @property
+    @cached_property
     def masses(self) -> np.ndarray:
-        """Probability mass at each jump."""
-        if len(self.values) == 0:
-            return np.empty(0)
-        return np.diff(self.values, prepend=0.0)
+        """Probability mass at each jump (computed once, read-only)."""
+        masses = np.diff(self.values, prepend=0.0) if len(self.values) else np.empty(0)
+        masses.flags.writeable = False
+        return masses
 
     @property
     def total_mass(self) -> float:
@@ -210,14 +142,15 @@ class StepDistribution:
 def fit_mle(sample: ObservedSample) -> StepDistribution:
     """Nonparametric MLE of the event-time distribution.
 
-    The value at each observed time is the left slope of the greatest
-    convex minorant of the cusum diagram; jumps sit where the slope
-    increases.
+    The value on each isotonic block is the block's share of ones,
+    an exact ratio of integer totals; jumps sit at the block starts
+    where that value increases.
     """
-    slopes = gcm_left_slopes(cusum(sample))
-    prev = np.concatenate(([0.0], slopes[:-1]))
-    jump = slopes > prev
-    return StepDistribution(jump_times=sample.times[jump], values=slopes[jump])
+    ones, counts = sample.ones, sample.counts
+    starts = isotonic_regression(ones / counts, weights=counts).blocks[:-1]
+    values = np.add.reduceat(ones, starts) / np.add.reduceat(counts, starts)
+    jump = values > np.concatenate(([0.0], values[:-1]))
+    return StepDistribution(jump_times=sample.times[starts[jump]], values=values[jump])
 
 
 def pava_blocks(values, weights) -> tuple[np.ndarray, np.ndarray]:

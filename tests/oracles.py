@@ -2,11 +2,16 @@
 
 Everything here recomputes a target quantity by brute force (dynamic
 programming over a value grid, dense quadrature, golden-section search,
-direct kernel sums) without touching the library's own algorithms, so
-the two routes stay independent.  The one borrowing is the closed-form
-boundary moments ``nu`` in :func:`direct_smoothed`, which are checked
-against :func:`nu_moment` on their own.
+direct kernel sums, a monotone-chain convex hull in exact integer
+arithmetic) without touching the library's own algorithms, so the two
+routes stay independent.  The one borrowing is the closed-form boundary
+moments ``nu`` in :func:`direct_smoothed`, which are checked against
+:func:`nu_moment` on their own.
 """
+
+from __future__ import annotations
+
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -158,3 +163,79 @@ def direct_smoothed(sample, kernel, h, cells=32):
         out.extend((dens, deriv))
     g0, dg0, g1, dg1 = out
     return grid, g0, g1, dg0, dg1
+
+
+# The step MLE as the greatest convex minorant of the cumulative sum
+# diagram, by a monotone-chain scan with exact integer turn tests.
+
+@dataclass(frozen=True)
+class CusumDiagram:
+    """Cumulative sum diagram; point 0 is the origin.
+
+    ``x``/``y`` are the normalized coordinates.  When the diagram comes
+    from an ``ObservedSample``, ``cum_counts``/``cum_ones`` hold the
+    raw integer cumulative counts so the minorant can be computed with
+    exact arithmetic; they are None for generic weighted diagrams.
+    """
+
+    x: np.ndarray
+    y: np.ndarray
+    cum_counts: np.ndarray | None = None
+    cum_ones: np.ndarray | None = None
+
+
+def cusum(sample) -> CusumDiagram:
+    """Cumulative sum diagram of a grouped sample."""
+    cc = np.concatenate(([0], np.cumsum(sample.counts)))
+    co = np.concatenate(([0], np.cumsum(sample.ones)))
+    n = cc[-1]
+    return CusumDiagram(x=cc / n, y=co / n, cum_counts=cc, cum_ones=co)
+
+
+def _lower_hull(x, y) -> list[int]:
+    """Monotone-chain scan; returns vertex indices of the lower convex hull.
+
+    Collinear middle points are dropped, so consecutive hull segments
+    have strictly increasing slopes.
+    """
+    hull = [0]
+    for i in range(1, len(x)):
+        while len(hull) >= 2:
+            o, a = hull[-2], hull[-1]
+            # pop a if it lies on or above the chord from o to i
+            if (x[a] - x[o]) * (y[i] - y[o]) - (y[a] - y[o]) * (x[i] - x[o]) <= 0:
+                hull.pop()
+            else:
+                break
+        hull.append(i)
+    return hull
+
+
+def gcm_left_slopes(diagram: CusumDiagram) -> np.ndarray:
+    """Left slopes of the greatest convex minorant at each diagram point.
+
+    Returns one slope per point ``P_1 .. P_m``: the slope of the minorant
+    segment whose x-interval ends at (or covers) that point.  Slopes are
+    nondecreasing by construction.
+    """
+    if diagram.cum_counts is not None:
+        # exact integer turn tests
+        x = [int(v) for v in diagram.cum_counts]
+        y = [int(v) for v in diagram.cum_ones]
+    else:
+        x = diagram.x
+        y = diagram.y
+    hull = _lower_hull(x, y)
+    seg_slopes = np.array(
+        [(y[b] - y[a]) / (x[b] - x[a]) for a, b in zip(hull[:-1], hull[1:])]
+    )
+    reps = np.diff(hull)
+    return np.repeat(seg_slopes, reps)
+
+
+def hull_mle(sample):
+    """``(jump_times, values)`` of the step MLE read off the integer hull:
+    the left slopes, with a jump wherever the slope increases."""
+    slopes = gcm_left_slopes(cusum(sample))
+    jump = slopes > np.concatenate(([0.0], slopes[:-1]))
+    return sample.times[jump], slopes[jump]

@@ -13,7 +13,6 @@ import pytest
 
 from curstat import (
     BootstrapConfig,
-    CusumDiagram,
     amse,
     amse_optimal_c,
     boundary_family,
@@ -22,7 +21,6 @@ from curstat import (
     fit_mle,
     fit_msle,
     fit_smoothed,
-    gcm_left_slopes,
     mc_bandwidth,
     msle_F,
     pava,
@@ -37,7 +35,7 @@ from curstat import (
 from curstat.bandwidth import BandwidthPlan
 from curstat.cli import main as cli_main
 
-from oracles import golden_section_min, grid_mle_oracle, simpson
+from oracles import CusumDiagram, gcm_left_slopes, golden_section_min, grid_mle_oracle, simpson
 
 KERNEL = triweight()
 TRUTH = truth_gamma4_exp3()

@@ -209,6 +209,32 @@ def test_estimate_tiny_bandwidth_exits_2_before_allocating(tmp_path, capsys):
     assert not (tmp_path / "out.csv").exists()
 
 
+def test_estimate_huge_grid_points_exit_2_before_allocating(tmp_path, capsys):
+    # 1e10 evaluation nodes would be 74.5 GiB per column
+    inp = _sample_csv(tmp_path / "obs.csv", n=200, seed=5)
+    rc = main([
+        "estimate", "--input", inp, "--method", "smle", "--target", "F",
+        "--h", "1", "--grid-points", "10000000000", "--output", str(tmp_path / "out.csv"),
+    ])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error: --grid-points must be in [2, 1048576]")
+    assert not (tmp_path / "out.csv").exists()
+
+
+def test_bandwidth_huge_c_points_exit_2_before_allocating(tmp_path, capsys):
+    inp = _sample_csv(tmp_path / "obs.csv", n=150, seed=3)
+    rc = main([
+        "bandwidth", "--input", inp, "--t", "4", "--m", "80", "--B", "1",
+        "--c0", "10", "--c-min", "1", "--c-max", "100", "--c-points", "10000000000",
+        "--output", str(tmp_path / "sel.json"),
+    ])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error: --c-points must be in [1, 1048576]")
+    assert not (tmp_path / "sel.json").exists()
+
+
 def test_estimate_c_flag_uses_target_rate(tmp_path):
     inp = _sample_csv(tmp_path / "obs.csv", n=100, seed=2)
     out = tmp_path / "out.csv"

@@ -2,8 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from curstat.errors import (
+    CurstatError,
     DegenerateSupport,
     DensityFloorViolation,
     HazardDenominatorViolation,
@@ -342,3 +345,51 @@ def test_msle_hazard_guard():
     fit = fit_msle(sm)
     with pytest.raises(HazardDenominatorViolation):
         msle_lambda(fit, 3.0)
+
+
+def _outcome(fn, *args):
+    """The value, or the class and message of the library error raised."""
+    try:
+        return np.atleast_1d(fn(*args)).tobytes()
+    except CurstatError as exc:
+        return type(exc), str(exc)
+
+
+_BAD_T = (-1.0, np.nan, np.inf)
+_BAD_H = (0.0, -0.5, np.nan)
+
+
+@given(
+    times=st.lists(st.floats(0.0, 10.0), min_size=1, max_size=40),
+    deltas=st.lists(st.integers(0, 1), min_size=40, max_size=40),
+    t=st.one_of(st.floats(0.0, 12.0), st.integers(0, 12), st.sampled_from(_BAD_T)),
+    h=st.one_of(st.floats(0.05, 5.0), st.sampled_from(_BAD_H)),
+)
+@example(times=[1.0], deltas=[0] * 40, t=2.0, h=1.0)  # no jumps
+@example(times=[1.0, 2.0], deltas=[1] * 40, t=9.0, h=0.5)  # F = 1: hazard ceiling
+@example(times=[1.0], deltas=[1] * 40, t=-1.0, h=0.0)  # bad t and bad h
+@example(times=[1.0], deltas=[1] * 40, t=1.0, h=np.nan)
+@example(  # 7 jumps inside the window
+    times=list(np.arange(40) / 4.0),
+    deltas=[int(c) for c in "0001000001000101100111011111011111110111"],
+    t=5.0,
+    h=6.0,
+)
+def test_smle_scalar_path_matches_one_element_array(times, deltas, t, h):
+    mle = fit_mle(build_sample(_records(times, deltas[: len(times)])))
+    for fn in (smle_F, smle_f, smle_lambda):
+        scalar = _outcome(fn, mle, KERNEL, h, t)
+        assert scalar == _outcome(fn, mle, KERNEL, h, np.array([t], dtype=float)), fn
+        assert scalar == _outcome(fn, mle, KERNEL, h, np.asarray(t, dtype=float)), fn
+
+
+def test_smle_scalar_path_matches_array_path_with_many_jumps():
+    rng = np.random.default_rng(61)
+    mle = fit_mle(build_sample(_draw(rng, 20000)))
+    assert mle.jump_times.size > 20
+    t = rng.uniform(0.0, 9.0, 200)  # F stays below the hazard ceiling
+    for h in (0.3, 1.0, 4.0):
+        for fn in (smle_F, smle_f, smle_lambda):
+            array = np.concatenate([fn(mle, KERNEL, h, np.array([x])) for x in t])
+            scalar = np.array([fn(mle, KERNEL, h, float(x)) for x in t])
+            assert scalar.tobytes() == array.tobytes(), (fn, h)

@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from curstat.errors import (
     BadIndicator,
@@ -10,16 +12,11 @@ from curstat.errors import (
     NegativeTime,
     NonpositiveWeight,
 )
-from curstat.mle import (
-    CusumDiagram,
-    build_sample,
-    cusum,
-    fit_mle,
-    gcm_left_slopes,
-    pava,
-)
+from curstat.estimators import smle_F
+from curstat.kernels import triweight
+from curstat.mle import build_sample, fit_mle, pava
 
-from oracles import grid_mle_oracle
+from oracles import CusumDiagram, cusum, gcm_left_slopes, grid_mle_oracle, hull_mle
 
 
 # --- build_sample ----------------------------------------------------------
@@ -64,7 +61,7 @@ def test_time_zero_is_allowed():
     assert s.times[0] == 0.0
 
 
-# --- cusum diagram ---------------------------------------------------------
+# --- cusum diagram and hull (the oracle of fit_mle) -----------------------
 
 def test_cusum_three_points():
     s = build_sample([(1.0, 1), (2.0, 0), (3.0, 1)])
@@ -154,11 +151,63 @@ def test_fit_mle_block_characterization():
         t = rng.uniform(0, 5, n)
         d = rng.integers(0, 2, n)
         sample = build_sample(np.column_stack((t, d)))
-        vals = gcm_left_slopes(cusum(sample))
+        vals = np.atleast_1d(fit_mle(sample).cdf(sample.times))
         blocks = np.concatenate(([0], np.flatnonzero(np.diff(vals) != 0) + 1, [len(vals)]))
         for a, b in zip(blocks[:-1], blocks[1:]):
             resid = sample.ones[a:b].sum() - (sample.counts[a:b] * vals[a:b]).sum()
             assert abs(resid) < 1e-12
+
+
+@st.composite
+def _current_status_samples(draw):
+    """Up to 400 observations on a pool of up to 60 times, so ties are
+    common, with indicators that are all 0, all 1, coin flips, or the
+    current status of 2 + Gamma(4, 1) event times (fits with many jumps).
+    The arrays come from a drawn seed, so large cases cost little."""
+    n = draw(st.integers(1, 400))
+    pool = draw(st.integers(1, 60))
+    kind = draw(st.sampled_from(("status", "coins", "zeros", "ones")))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    times = rng.choice(rng.exponential(3.0, pool), n)
+    if kind == "status":
+        deltas = 2.0 + rng.gamma(4.0, 1.0, n) <= times
+    elif kind == "coins":
+        deltas = rng.random(n) < rng.random()
+    else:
+        deltas = np.full(n, kind == "ones")
+    return times.tolist(), deltas.astype(int).tolist()
+
+
+@given(_current_status_samples())
+@example(([2.5], [1]))
+@example(([2.5], [0]))
+@example(([1.0, 1.0, 2.0, 2.0, 3.0], [0, 1, 1, 0, 1]))
+# pooled blocks whose floating-point weighted mean differs in the last
+# bit from the exact ratio of integer totals
+@example((
+    [0.0] * 6 + [1.0] * 3 + [2.0] * 3 + [4.0] * 4 + [5.0, 6.0, 7.0, 8.0, 8.0, 9.0, 9.0, 10.0, 10.0],
+    [1] * 5 + [0] + [1, 1, 0] + [1, 1, 0] + [1, 0, 0, 0] + [1, 1, 0, 1, 0, 0, 0, 1, 0],
+))
+def test_fit_mle_matches_integer_hull_bitwise(case):
+    times, deltas = case
+    sample = build_sample(np.column_stack((times, deltas)))
+    fit = fit_mle(sample)
+    jump_times, values = hull_mle(sample)
+    assert fit.jump_times.tobytes() == jump_times.tobytes()
+    assert fit.values.tobytes() == values.tobytes()
+
+
+def test_masses_are_cached_and_read_only():
+    fit = fit_mle(build_sample([(1.0, 1), (2.0, 0), (3.0, 1), (4.0, 1)]))
+    masses = fit.masses
+    assert fit.masses is masses
+    assert not masses.flags.writeable
+    with pytest.raises(ValueError):
+        masses[0] = 0.25
+    first = [smle_F(fit, triweight(), 1.5, t) for t in (0.5, 2.0, 3.5)]
+    again = [smle_F(fit, triweight(), 1.5, t) for t in (0.5, 2.0, 3.5)]
+    assert first == again
+    assert masses.tolist() == [0.5, 0.5]
 
 
 def test_fit_mle_exhaustive_against_grid_oracle_small_n():
