@@ -6,10 +6,10 @@ selection and writes JSON, ``simulate`` runs a replication study at a
 point, and ``reproduce-table1`` assembles the bandwidth-constant table
 for the built-in simulation truth.
 
-Input CSV: header ``t,delta``, one observation per row, ``#`` starts a
-comment line, rows in any order.  Numeric output is decimal with nine
-significant digits so repeated runs diff cleanly.  Exit codes: 0 ok,
-2 input or parse error, 3 domain error.
+Input CSV (UTF-8): header ``t,delta``, one observation per row, a line
+starting with ``#`` is a comment, rows in any order.  Numeric output is
+decimal with nine significant digits so repeated runs diff cleanly.
+Exit codes: 0 ok, 2 input or parse error, 3 domain error.
 """
 
 from __future__ import annotations
@@ -75,28 +75,48 @@ def _round9(obj):
 def read_observations(path: str) -> np.ndarray:
     """Parse an observation CSV into an (n, 2) array of (t, delta).
 
+    UTF-8; lines stripped; blank lines and lines that start with ``#``
+    skipped; header ``t,delta``; then rows of two stripped fields in
+    Python ``float`` syntax, ``t`` finite and >= 0, ``delta`` 0 or 1.
+    One ``np.loadtxt`` call parses all rows.  A file it refuses or whose
+    values fail the checks is read again by the per-line loop, which
+    names the first bad line and parses ``float``-only syntax (``1_0``).
+
     Raises
     ------
     InputError
-        On unreadable files, a bad header, or a malformed row; the
-        message names the offending line.
+        On unreadable or non-UTF-8 files, a bad header, or a malformed
+        row; the message names the offending line.
     """
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
+    lines = [raw.strip() for raw in text.splitlines()]
+    kept = [i for i, line in enumerate(lines) if line and line[0] != "#"]
+    if not kept:
+        raise InputError(f"{path}: empty input, expected header 't,delta'")
+    if [f.strip() for f in lines[kept[0]].split(",")] != ["t", "delta"]:
+        raise InputError(f"{path}:{kept[0] + 1}: expected header 't,delta'")
+    body = [lines[i] for i in kept[1:]]
+    if not body:
+        raise InputError(f"{path}: no data rows")
+    try:
+        obs = np.loadtxt(body, delimiter=",", comments=None, dtype=float, ndmin=2)
+    except ValueError:
+        obs = None
+    if obs is not None and obs.shape[1] == 2:
+        t, d = obs[:, 0], obs[:, 1]
+        if np.all(np.isfinite(t) & (t >= 0.0) & ((d == 0.0) | (d == 1.0))):
+            return obs
+    return _parse_rows(path, [(i + 1, lines[i]) for i in kept[1:]])
+
+
+def _parse_rows(path: str, numbered) -> np.ndarray:
+    """Per-line reader of the (line number, stripped line) data rows."""
     rows = []
-    header_seen = False
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line in numbered:
         fields = [f.strip() for f in line.split(",")]
-        if not header_seen:
-            if fields != ["t", "delta"]:
-                raise InputError(f"{path}:{lineno}: expected header 't,delta'")
-            header_seen = True
-            continue
         if len(fields) != 2:
             raise InputError(
                 f"{path}:{lineno}: expected two fields, got {len(fields)}"
@@ -111,10 +131,6 @@ def read_observations(path: str) -> np.ndarray:
         if d not in (0.0, 1.0):
             raise InputError(f"{path}:{lineno}: delta must be 0 or 1, got {fields[1]}")
         rows.append((t, d))
-    if not header_seen:
-        raise InputError(f"{path}: empty input, expected header 't,delta'")
-    if not rows:
-        raise InputError(f"{path}: no data rows")
     return np.array(rows, dtype=float)
 
 

@@ -285,13 +285,20 @@ def msle_lambda(fit: ConvexHullFit, t):
 # smoothed MLE
 
 
+# Points per block of the array route, so the points x jumps matrix does
+# not grow with the grid; a multiple of any BLAS row unroll, so each row
+# is reduced as in one unblocked product.
+_SMLE_BLOCK = 4096
+
+
 def _smle_sum(mle: StepDistribution, h: float, t, weight):
     """``sum_j masses_j * weight((t - tau_j) / h)`` at ``t``.
 
     A Python scalar ``t`` (the selectors' thousands of point evaluations)
     is checked and evaluated without the array round trip.  It gives the
     same bits as a one-element array: numpy's matmul reduces a one-row
-    product with the same dot kernel as a 1-d by 1-d product.
+    product with the same dot kernel as a 1-d by 1-d product.  Arrays
+    are evaluated in blocks of ``_SMLE_BLOCK`` points.
     """
     if isinstance(t, (float, int)):
         x = float(t)
@@ -305,9 +312,13 @@ def _smle_sum(mle: StepDistribution, h: float, t, weight):
     check_bandwidth(h)
     if mle.jump_times.size == 0:
         return _shaped(np.zeros(np.shape(arr)), t)
-    diffs = np.atleast_1d(arr)[..., None] - mle.jump_times[None, :]
-    out = (weight(diffs / h) @ mle.masses).reshape(np.shape(arr))
-    return _shaped(out, t)
+    flat = arr.reshape(-1)
+    blocks = [
+        weight((flat[i : i + _SMLE_BLOCK, None] - mle.jump_times) / h) @ mle.masses
+        for i in range(0, flat.size, _SMLE_BLOCK)
+    ]
+    out = np.concatenate(blocks) if blocks else np.zeros(0)
+    return _shaped(out.reshape(np.shape(arr)), t)
 
 
 def smle_F(mle: StepDistribution, kernel: Kernel, h: float, t):

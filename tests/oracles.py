@@ -3,7 +3,7 @@
 Everything here recomputes a target quantity by brute force (dynamic
 programming over a value grid, dense quadrature, golden-section search,
 direct kernel sums, a monotone-chain convex hull in exact integer
-arithmetic) without touching the library's own algorithms, so the two
+arithmetic, a per-line CSV reader) without touching the library's own algorithms, so the two
 routes stay independent.  The one borrowing is the closed-form boundary
 moments ``nu`` in :func:`direct_smoothed`, which are checked against
 :func:`nu_moment` on their own.
@@ -12,10 +12,11 @@ moments ``nu`` in :func:`direct_smoothed`, which are checked against
 from __future__ import annotations
 
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
-from curstat.errors import OutOfDomain
+from curstat.errors import InputError, OutOfDomain
 from curstat.kernels import boundary_family
 
 
@@ -239,3 +240,44 @@ def hull_mle(sample):
     slopes = gcm_left_slopes(cusum(sample))
     jump = slopes > np.concatenate(([0.0], slopes[:-1]))
     return sample.times[jump], slopes[jump]
+
+
+def read_observations_loop(path: str) -> np.ndarray:
+    """The observation CSV reader as a per-line Python loop: strip every
+    line, skip blank and ``#`` lines, check the header, then ``float`` and
+    check each row in turn, naming the first bad line."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InputError(f"cannot read {path}: {exc}") from exc
+    rows = []
+    header_seen = False
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        fields = [f.strip() for f in line.split(",")]
+        if not header_seen:
+            if fields != ["t", "delta"]:
+                raise InputError(f"{path}:{lineno}: expected header 't,delta'")
+            header_seen = True
+            continue
+        if len(fields) != 2:
+            raise InputError(
+                f"{path}:{lineno}: expected two fields, got {len(fields)}"
+            )
+        try:
+            t = float(fields[0])
+            d = float(fields[1])
+        except ValueError:
+            raise InputError(f"{path}:{lineno}: non-numeric row {line!r}") from None
+        if not np.isfinite(t) or t < 0.0:
+            raise InputError(f"{path}:{lineno}: observation time must be >= 0")
+        if d not in (0.0, 1.0):
+            raise InputError(f"{path}:{lineno}: delta must be 0 or 1, got {fields[1]}")
+        rows.append((t, d))
+    if not header_seen:
+        raise InputError(f"{path}: empty input, expected header 't,delta'")
+    if not rows:
+        raise InputError(f"{path}: no data rows")
+    return np.array(rows, dtype=float)

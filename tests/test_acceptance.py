@@ -10,6 +10,7 @@ import time
 
 import numpy as np
 import pytest
+from scipy.integrate import trapezoid
 
 from curstat import (
     BootstrapConfig,
@@ -202,7 +203,7 @@ def test_criterion_8_conservation_and_shape():
             grid = np.linspace(0.0, float(sample.times[-1]) + h, 4001)
             fvals = np.asarray(smle_f(mle, KERNEL, h, grid))
             assert np.all(fvals >= 0.0)
-            mass = float(np.trapezoid(fvals, grid))
+            mass = float(trapezoid(fvals, grid))
             assert abs(mass - mle.total_mass) <= 1e-4, (n, h, mass)
             F_sm = np.asarray(smle_F(mle, KERNEL, h, grid))
             F_step = np.asarray(mle.cdf(grid))

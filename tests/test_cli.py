@@ -4,13 +4,18 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from curstat import cli
 from curstat.cli import _fmt, main, read_observations
+from curstat.errors import InputError
 from curstat.estimators import naive_F, naive_f, smle_F, smle_f
 from curstat.kernels import ScaledKernel, triweight
 from curstat.mle import build_sample, fit_mle
 from curstat.sim import sample_current_status, truth_gamma4_exp3
 from curstat.smoothing import fit_smoothed
+from oracles import read_observations_loop
 
 KERNEL = triweight()
 TRUTH = truth_gamma4_exp3()
@@ -68,6 +73,120 @@ def test_read_observations_error_messages(tmp_path):
     p.write_text("t,delta\n")
     with pytest.raises(InputError, match="no data rows"):
         read_observations(str(p))
+
+
+# Observation files built from what the reader must treat exactly as the
+# per-line loop does: float syntax that np.loadtxt lacks (1_0, Arabic-Indic
+# digits), values it parses but the checks refuse (nan, inf, 1e400, 2),
+# fields it refuses (empty, NUL, inline #, BOM), 1- and 3-field rows, -0
+# (kept as -0.0), and the other line breaks str.splitlines splits on.
+# Most rows are good, so many files parse and the odd rows land at every
+# position.
+_T_OK = st.sampled_from(["0", "1", "0.0", "-0", "+1", ".5", "1.", "3.25", "1e-3", " 4 ", "\t2"])
+_DELTA_OK = st.sampled_from(["0", "1", "1.0", "0.0", "-0", "+1", "1.", " 1 ", "1e0"])
+_NUMBER_BAD = st.sampled_from(["2", "-1", "-0.5", "nan", "-nan", "inf", "-inf", "Infinity", "1e400"])
+_ODD = st.sampled_from([
+    "1_0", "\u0661", "1\u00a0", "", " ", "x", "1#", "0 #c",
+    "\x00", "1\x00", "\ufeff1", "0x1", "1 2", "'1'",
+])
+_SKIPPED = st.sampled_from(["", "   ", "# comment", "  # indented comment", "#"])
+_GOOD = st.one_of(st.tuples(_T_OK, _DELTA_OK).map(",".join), _SKIPPED)
+_BAD = st.one_of(
+    st.tuples(st.one_of(_T_OK, _NUMBER_BAD), st.one_of(_DELTA_OK, _NUMBER_BAD)).map(",".join),
+    st.tuples(st.one_of(_T_OK, _ODD), st.one_of(_DELTA_OK, _ODD)).map(",".join),
+    st.tuples(_T_OK, _ODD).map(" , ".join),
+    st.lists(st.one_of(_T_OK, _ODD), min_size=1, max_size=3).map(",".join),
+)
+_BREAKS = st.sampled_from(["\n", "\r\n", "\r", "\x0c", "\x0b", "\x1c", "\x85", "\u2028"])
+_HEADERS = st.sampled_from(["t,delta"] * 8 + [
+    " t , delta ", "t,delta,", "T,delta", "t;delta", "delta,t", "\ufefft,delta",
+    "t,delta,x", "t", "# t,delta", "1,0",
+])
+
+
+@st.composite
+def _observation_text(draw):
+    lines = draw(st.lists(_SKIPPED, max_size=2)) + [draw(_HEADERS)]
+    rows = draw(st.lists(_GOOD, max_size=12))
+    for bad in draw(st.lists(_BAD, max_size=2)):
+        rows.insert(draw(st.integers(0, len(rows))), bad)
+    text = "".join(line + draw(_BREAKS) for line in lines + rows)
+    return draw(st.sampled_from([""] * 7 + ["\ufeff"])) + text
+
+
+def _read_outcome(reader, path):
+    try:
+        arr = reader(path)
+    except InputError as exc:
+        return "error", str(exc)
+    return "array", arr.shape, arr.dtype.str, arr.tobytes()
+
+
+@settings(max_examples=600)
+@given(text=_observation_text())
+@example(text="t,delta\n1,2\n1,0,1\n")  # bad delta before a 3-field row
+@example(text="t,delta\n-1,0\nx,1\n")  # bad t before a non-numeric row
+@example(text="t,delta\n0,1\n1_0,2\n\u0661,1,\n")  # float-only syntax, then bad delta
+@example(text="t,delta\n-1,2\n")  # bad t and bad delta on one row: t first
+@example(text="t,delta\nnan,1\n1,nan\n")
+@example(text="t,delta\n1,0 # inline\n")
+@example(text="t,delta\n-0,-0\n1e400,1\n")
+@example(text="t,delta\r\n1,1\r2,0\x0c3,1\x1c")
+def test_reader_matches_per_line_loop(tmp_path_factory, text):
+    path = tmp_path_factory.getbasetemp() / "fuzz.csv"
+    path.write_bytes(text.encode("utf-8"))
+    want = _read_outcome(read_observations_loop, str(path))
+    assert _read_outcome(read_observations, str(path)) == want
+
+
+def test_reader_takes_the_array_route_on_clean_files(tmp_path, monkeypatch):
+    def no_loop(*args):
+        raise AssertionError("per-line loop used on a clean file")
+
+    monkeypatch.setattr(cli, "_parse_rows", no_loop)
+    p = tmp_path / "obs.csv"
+    _write_csv(p, [2.5, 0.0, 1e-300], [1, 0, 1], extra_lines=["", "# tail"])
+    np.testing.assert_array_equal(
+        read_observations(str(p)), [[2.5, 1.0], [0.0, 0.0], [1e-300, 1.0]]
+    )
+
+
+def test_invalid_utf8_exits_2(tmp_path, capsys):
+    p = tmp_path / "bad.csv"
+    p.write_bytes(b"t,delta\n1.0,1\n\xff\xfe,0\n")
+    assert main(["estimate", "--input", str(p), "--method", "mle", "--target", "F"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"input error: cannot read {p}: 'utf-8' codec can't decode")
+    assert "Traceback" not in err
+
+
+_CSV_BYTES = st.one_of(
+    st.binary(max_size=120),
+    _observation_text().map(lambda text: text.encode("utf-8")),
+    st.lists(
+        st.tuples(st.floats(0.0, 12.0), st.integers(0, 1)), min_size=3, max_size=40
+    ).map(lambda rows: ("t,delta\n" + "".join(f"{t!r},{d}\n" for t, d in rows)).encode()),
+)
+
+
+@settings(max_examples=150)
+@given(data=_CSV_BYTES)
+@example(data=b"t,delta\n1,1\n")  # one row
+@example(data=b"t,delta\n0,0\n0,1\n")  # every time 0
+@example(data=b"t,delta\n3,1\n3,1\n3,1\n")  # one distinct time, all events
+@example(data=b"t,delta\n\xff\xfe,1\n")
+def test_cli_never_ends_in_a_traceback(tmp_path_factory, data):
+    path = tmp_path_factory.getbasetemp() / "cli-fuzz.csv"
+    path.write_bytes(data)
+    inp = str(path)
+    out = str(tmp_path_factory.getbasetemp() / "cli-fuzz.out")
+    assert main([
+        "estimate", "--input", inp, "--method", "mle", "--target", "F", "--output", out,
+    ]) in (0, 2, 3)
+    assert main([
+        "bandwidth", "--input", inp, "--t", "4", "--m", "3", "--B", "1", "--c0", "10",
+        "--c-min", "2", "--c-max", "20", "--c-points", "3", "--output", out,
+    ]) in (0, 2, 3)
 
 
 def test_estimate_mle_three_point_case(tmp_path):

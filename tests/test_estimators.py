@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
+from scipy.integrate import trapezoid
 
+from curstat import estimators
 from curstat.errors import (
     CurstatError,
     DegenerateSupport,
@@ -270,7 +272,7 @@ def test_smle_density_nonnegative_and_mass_preserving():
         grid = np.arange(int(np.ceil(t_end / (h / 32))) + 1) * (h / 32)
         dens = np.asarray(smle_f(mle, KERNEL, h, grid))
         assert np.all(dens >= 0.0)
-        assert np.trapezoid(dens, grid) == pytest.approx(
+        assert trapezoid(dens, grid) == pytest.approx(
             mle.total_mass, abs=1e-4
         )
 
@@ -393,3 +395,23 @@ def test_smle_scalar_path_matches_array_path_with_many_jumps():
             array = np.concatenate([fn(mle, KERNEL, h, np.array([x])) for x in t])
             scalar = np.array([fn(mle, KERNEL, h, float(x)) for x in t])
             assert scalar.tobytes() == array.tobytes(), (fn, h)
+
+
+def test_smle_blocked_grid_matches_one_unblocked_product(monkeypatch):
+    # two full blocks and a ragged third, against one product over all rows
+    rng = np.random.default_rng(62)
+    mle = fit_mle(build_sample(_draw(rng, 20000)))
+    t = rng.uniform(0.0, 9.0, 2 * estimators._SMLE_BLOCK + 37)
+    fns = (smle_F, smle_f, smle_lambda)
+    hs = (0.3, 1.0, 4.0)
+    blocked = [np.asarray(fn(mle, KERNEL, h, t)) for fn in fns for h in hs]
+    square = t[: 90 * 90].reshape(90, 90)
+    shaped = [np.asarray(fn(mle, KERNEL, h, square)) for fn in fns for h in hs]
+    monkeypatch.setattr(estimators, "_SMLE_BLOCK", t.size)
+    unblocked = [np.asarray(fn(mle, KERNEL, h, t)) for fn in fns for h in hs]
+    for b, u in zip(blocked, unblocked):
+        assert b.tobytes() == u.tobytes()
+    # an n-d t gives the bits of the same points in one flat array
+    for s, u in zip(shaped, unblocked):
+        assert s.shape == square.shape
+        assert s.tobytes() == u[: square.size].tobytes()
