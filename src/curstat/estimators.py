@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -154,8 +155,10 @@ class ConvexHullFit:
     Attributes
     ----------
     source : SmoothedMeasures
-    ccsd_x, ccsd_y, ccsd_t : ndarray
-        Diagram coordinates and their grid times, one entry per node.
+    ccsd_t : ndarray
+        Grid times of the diagram points, one entry per node.
+    ccsd_x, ccsd_y : ndarray
+        Diagram coordinates per node, computed on first read.
     hull_vertices : ndarray of int
         Node indices where the hull touches the diagram (block ends;
         the origin is an implicit extra vertex).
@@ -167,20 +170,22 @@ class ConvexHullFit:
         the naive ratio bit-for-bit.
     F_tab : ndarray
         Fitted distribution value per grid node.
-    saturated : bool
-        Whether the final slope reaches 1; when False the fit simply
-        reports the final slope beyond the support.
     """
 
     source: SmoothedMeasures
-    ccsd_x: np.ndarray
-    ccsd_y: np.ndarray
     ccsd_t: np.ndarray
     hull_vertices: np.ndarray
     segment_slopes: np.ndarray
     touch_mask: np.ndarray
     F_tab: np.ndarray
-    saturated: bool
+
+    @cached_property
+    def ccsd_x(self) -> np.ndarray:
+        return np.cumsum(self.source.g * self.source.spacing)
+
+    @cached_property
+    def ccsd_y(self) -> np.ndarray:
+        return np.cumsum(self.source.g1 * self.source.spacing)
 
 
 def fit_msle(sm: SmoothedMeasures) -> ConvexHullFit:
@@ -223,14 +228,11 @@ def fit_msle(sm: SmoothedMeasures) -> ConvexHullFit:
 
     return ConvexHullFit(
         source=sm,
-        ccsd_x=np.cumsum(w),
-        ccsd_y=np.cumsum(sm.g1 * dt),
         ccsd_t=grid,
         hull_vertices=vertices,
         segment_slopes=slopes,
         touch_mask=touch,
         F_tab=F_tab,
-        saturated=bool(slopes[-1] >= 1.0 - 1e-9),
     )
 
 
@@ -242,8 +244,7 @@ def _node_index(fit: ConvexHullFit, arr: np.ndarray) -> np.ndarray:
 def msle_F(fit: ConvexHullFit, t):
     """Monotonized distribution estimate at ``t``.
 
-    Beyond the tabulated grid the final value is carried (the fit's
-    ``saturated`` flag records whether that value is 1).
+    Beyond the tabulated grid the final value is carried.
     """
     arr = _as_array(t)
     out = fit.F_tab[_node_index(fit, arr)]

@@ -13,9 +13,10 @@ the greatest convex minorant of the cumulative sum diagram.  scipy's
 compiled solver supplies the block structure; each block value is then
 recomputed as the ratio of the block's integer totals, so the fitted
 values are correctly rounded and no tie-breaking depends on the
-solver's floating-point means.  :func:`pava` is the general weighted
-solver, kept in Python because its block sizes and bitwise idempotence
-are part of its contract.
+solver's floating-point means.  :func:`pava_blocks` is the general
+weighted solver on the same compiled code; its block sizes, and the
+input kept bit for bit wherever nothing is pooled, are part of its
+contract.
 """
 
 from __future__ import annotations
@@ -156,12 +157,16 @@ def fit_mle(sample: ObservedSample) -> StepDistribution:
 def pava_blocks(values, weights) -> tuple[np.ndarray, np.ndarray]:
     """Pool-adjacent-violators fit, returning the block structure.
 
+    Blocks come from scipy's compiled solver, with each run of equal
+    inputs split back into singletons.  A nondecreasing input is
+    returned as it is, and every fit is nondecreasing, so the operator
+    is exactly idempotent.
+
     Returns
     -------
     fitted : ndarray
         The nondecreasing fit, one value per input entry.  Entries in
-        singleton blocks keep their input value bit-for-bit, which
-        makes the operator exactly idempotent.
+        singleton blocks keep their input value bit-for-bit.
     sizes : ndarray of int
         Sizes of the pooled blocks in order; ``sum(sizes) == len(values)``.
 
@@ -178,25 +183,22 @@ def pava_blocks(values, weights) -> tuple[np.ndarray, np.ndarray]:
         raise LengthMismatch(f"values and weights must match, got {v.shape} and {w.shape}")
     if np.any(w <= 0.0):
         raise NonpositiveWeight("weights must be strictly positive")
-    # per-block accumulators: weight sum, weighted value sum, size, mean
-    bw: list[float] = []
-    bwv: list[float] = []
-    size: list[int] = []
-    mean: list[float] = []
-    for i in range(len(v)):
-        cw, cwv, cs, cm = w[i], w[i] * v[i], 1, v[i]
-        while mean and mean[-1] > cm:
-            cw += bw.pop()
-            cwv += bwv.pop()
-            cs += size.pop()
-            mean.pop()
-            cm = cwv / cw
-        bw.append(cw)
-        bwv.append(cwv)
-        size.append(cs)
-        mean.append(cm)
-    sizes = np.asarray(size, dtype=np.int64)
-    return np.repeat(mean, sizes), sizes
+    if np.all(v[1:] >= v[:-1]):
+        return v.copy(), np.ones(v.size, dtype=np.int64)
+    fit = isotonic_regression(v, weights=w)
+    starts = fit.blocks[:-1]
+    sizes = np.diff(fit.blocks)
+    # scipy pools equal neighbours too; a block of equal inputs is split
+    # back into singletons that keep their input value
+    keep = np.maximum.reduceat(v, starts) == np.minimum.reduceat(v, starts)
+    fitted = np.where(np.repeat(keep, sizes), v, fit.x)
+    if np.any(fitted[1:] < fitted[:-1]):
+        # rounding put a tied block's pooled mean on the wrong side of a
+        # neighbour's; only true singletons are kept then
+        keep = sizes == 1
+        fitted = np.where(np.repeat(keep, sizes), v, fit.x)
+    sizes = np.repeat(np.where(keep, 1, sizes), np.where(keep, sizes, 1))
+    return fitted, sizes
 
 
 def pava(values, weights) -> np.ndarray:

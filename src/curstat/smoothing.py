@@ -35,8 +35,8 @@ at the origin node).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
 
 import numpy as np
 from scipy.integrate import cumulative_trapezoid
@@ -54,8 +54,10 @@ _DEFAULT_CELLS_PER_BANDWIDTH = 32
 # otherwise the trapezoid antiderivatives and the finite-difference
 # boundary derivatives lose too much accuracy to be trusted.
 _MIN_CELLS_PER_BANDWIDTH = 16
-# A fit holds about 250 bytes per node, so the ceiling bounds one fit
-# near 250 MB; a bandwidth that needs more nodes is rejected as input.
+# A fit peaks at and keeps about 160 bytes per node (the grid, g0, g1, g
+# and the binned moments), 210 once its derivatives and antiderivatives
+# are read, so the ceiling bounds one fit near 220 MB; a bandwidth that
+# needs more nodes is rejected as input.
 _MAX_GRID_NODES = 2**20
 
 _CURVES = ("g0", "g1", "g", "dg0", "dg1", "dg", "G0", "G1", "G")
@@ -82,32 +84,75 @@ class SmoothedMeasures:
         Bandwidth, strictly positive.
     grid : ndarray
         Uniform grid from 0 to at least ``T_max + h``.
+    cells : int
+        Grid cells per bandwidth ``K``; the spacing is ``h / K``.
     g0, g1, g : ndarray
         Smoothed sub-densities (indicator zero, indicator one, total)
         at the grid nodes.  ``g == g0 + g1`` holds to rounding.
+    moments : ndarray
+        The binned moments ``S[c, p, l]`` of :func:`_binned_moments`,
+        ``c = 0`` for indicator zero and 1 for indicator one.
     dg0, dg1, dg : ndarray
         Their derivatives at the grid nodes.
     G0, G1, G : ndarray
         Cumulative trapezoid antiderivatives, zero at the origin.
+
+    The derivatives and antiderivatives are computed on first read, the
+    derivatives from the binned moments the fit keeps; a caller that
+    reads only ``g0``, ``g1`` and ``g`` never pays for them.
     """
 
     sample: ObservedSample
     kernel: Kernel
     h: float
+    cells: int
     grid: np.ndarray
     g0: np.ndarray
     g1: np.ndarray
     g: np.ndarray
-    dg0: np.ndarray
-    dg1: np.ndarray
-    dg: np.ndarray
-    G0: np.ndarray
-    G1: np.ndarray
-    G: np.ndarray
+    moments: np.ndarray = field(repr=False)
 
     @property
     def spacing(self) -> float:
         return float(self.grid[1] - self.grid[0])
+
+    def _derivative(self, c: int, g: np.ndarray) -> np.ndarray:
+        cells, h = self.cells, self.h
+        delta = h / cells
+        table = _bin_tables(self.kernel, cells).k_prime
+        dg = _node_sums(self.moments[c], table, self.grid.size) / (self.sample.n * h * h)
+        # The corrected weight depends on t through beta too, so the
+        # boundary derivative is a grid difference.
+        dg[0] = (g[1] - g[0]) / delta
+        dg[1:cells] = (g[2 : cells + 1] - g[: cells - 1]) / (2.0 * delta)
+        return dg
+
+    def _integral(self, g: np.ndarray) -> np.ndarray:
+        return cumulative_trapezoid(g, dx=self.h / self.cells, initial=0.0)
+
+    @cached_property
+    def dg0(self) -> np.ndarray:
+        return self._derivative(0, self.g0)
+
+    @cached_property
+    def dg1(self) -> np.ndarray:
+        return self._derivative(1, self.g1)
+
+    @cached_property
+    def dg(self) -> np.ndarray:
+        return self.dg0 + self.dg1
+
+    @cached_property
+    def G0(self) -> np.ndarray:
+        return self._integral(self.g0)
+
+    @cached_property
+    def G1(self) -> np.ndarray:
+        return self._integral(self.g1)
+
+    @cached_property
+    def G(self) -> np.ndarray:
+        return self._integral(self.g)
 
     def eval(self, which: str, t) -> np.ndarray | float:
         """Evaluate a tabulated curve by linear interpolation.
@@ -303,38 +348,24 @@ def fit_smoothed(
     # observations they reach all lie in the first 2K cells.
     near = moments[:, :, : 2 * cells]
     corrected = np.tensordot(near, tables.boundary[:, :, : near.shape[2]], axes=([1, 2], [1, 2]))
-    dens, deriv = [], []
+    dens = []
     for m, g_near in zip(moments, corrected):
         g = _node_sums(m, tables.k, grid.size)
-        dg = _node_sums(m, tables.k_prime, grid.size) / (n * h * h)
         # the plain kernel is nonnegative; a vanishing sum may round below 0
         np.maximum(g, 0.0, out=g)
         g[:cells] = g_near
         g /= n * h
-        # The corrected weight depends on t through beta too, so the
-        # boundary derivative is a grid difference.
-        dg[0] = (g[1] - g[0]) / delta
-        dg[1:cells] = (g[2 : cells + 1] - g[: cells - 1]) / (2.0 * delta)
         dens.append(g)
-        deriv.append(dg)
     g0, g1 = dens
-    dg0, dg1 = deriv
-    g = g0 + g1
-    dg = dg0 + dg1
-    G0, G1, G = cumulative_trapezoid(np.stack([g0, g1, g]), dx=delta, initial=0.0)
 
     return SmoothedMeasures(
         sample=sample,
         kernel=kernel,
         h=h,
+        cells=cells,
         grid=grid,
         g0=g0,
         g1=g1,
-        g=g,
-        dg0=dg0,
-        dg1=dg1,
-        dg=dg,
-        G0=G0,
-        G1=G1,
-        G=G,
+        g=g0 + g1,
+        moments=moments,
     )

@@ -3,7 +3,8 @@
 Everything here recomputes a target quantity by brute force (dynamic
 programming over a value grid, dense quadrature, golden-section search,
 direct kernel sums, a monotone-chain convex hull in exact integer
-arithmetic, a per-line CSV reader) without touching the library's own algorithms, so the two
+arithmetic, pool adjacent violators and a per-line CSV reader as Python
+loops) without touching the library's own algorithms, so the two
 routes stay independent.  The one borrowing is the closed-form boundary
 moments ``nu`` in :func:`direct_smoothed`, which are checked against
 :func:`nu_moment` on their own.
@@ -240,6 +241,37 @@ def hull_mle(sample):
     slopes = gcm_left_slopes(cusum(sample))
     jump = slopes > np.concatenate(([0.0], slopes[:-1]))
     return sample.times[jump], slopes[jump]
+
+
+def pava_blocks_loop(values, weights):
+    """``(fitted, sizes)`` of pool adjacent violators as a Python loop.
+
+    Each entry opens a block that is pooled with the blocks before it
+    while their mean is strictly above its own, so equal neighbours stay
+    apart and a block's value is its running weighted sum over its
+    running weight.  No input validation.
+    """
+    v = np.asarray(values, dtype=float)
+    w = np.asarray(weights, dtype=float)
+    # per-block accumulators: weight sum, weighted value sum, size, mean
+    bw: list[float] = []
+    bwv: list[float] = []
+    size: list[int] = []
+    mean: list[float] = []
+    for i in range(len(v)):
+        cw, cwv, cs, cm = w[i], w[i] * v[i], 1, v[i]
+        while mean and mean[-1] > cm:
+            cw += bw.pop()
+            cwv += bwv.pop()
+            cs += size.pop()
+            mean.pop()
+            cm = cwv / cw
+        bw.append(cw)
+        bwv.append(cwv)
+        size.append(cs)
+        mean.append(cm)
+    sizes = np.asarray(size, dtype=np.int64)
+    return np.repeat(mean, sizes), sizes
 
 
 def read_observations_loop(path: str) -> np.ndarray:

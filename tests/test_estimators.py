@@ -192,6 +192,15 @@ def test_msle_f_zero_on_pooled_segments_and_naive_at_touch():
         np.testing.assert_allclose(got, want, rtol=0, atol=0)
 
 
+def test_msle_F_computes_no_derivative_or_antiderivative():
+    # the bandwidth selectors' replicate path: fit, monotonize, read F
+    sm = _fit(np.random.default_rng(43), 300, 1.0)
+    fit = fit_msle(sm)
+    msle_F(fit, 4.0)
+    assert not {"dg0", "dg1", "dg", "G0", "G1", "G"} & set(vars(sm))
+    assert not {"ccsd_x", "ccsd_y"} & set(vars(fit))
+
+
 def test_msle_F_carries_last_value_beyond_grid():
     rng = np.random.default_rng(37)
     sm = _fit(rng, 100, 1.0)

@@ -14,9 +14,16 @@ from curstat.errors import (
 )
 from curstat.estimators import smle_F
 from curstat.kernels import triweight
-from curstat.mle import build_sample, fit_mle, pava
+from curstat.mle import build_sample, fit_mle, pava, pava_blocks
 
-from oracles import CusumDiagram, cusum, gcm_left_slopes, grid_mle_oracle, hull_mle
+from oracles import (
+    CusumDiagram,
+    cusum,
+    gcm_left_slopes,
+    grid_mle_oracle,
+    hull_mle,
+    pava_blocks_loop,
+)
 
 
 # --- build_sample ----------------------------------------------------------
@@ -247,6 +254,14 @@ def test_pava_rejects_bad_input():
         pava([1.0, 2.0], [1.0, -2.0])
 
 
+def test_pava_blocks_keeps_equal_inputs_apart():
+    # scipy pools the equal run at the end; it comes back as singletons
+    v = np.array([0.2, 0.1] + [0.3] * 5)
+    fitted, sizes = pava_blocks(v, np.ones(7))
+    assert sizes.tolist() == [2, 1, 1, 1, 1, 1]
+    assert fitted[2:].tobytes() == v[2:].tobytes()
+
+
 def test_pava_idempotent_exactly():
     rng = np.random.default_rng(17)
     for _ in range(200):
@@ -269,3 +284,81 @@ def test_pava_matches_gcm_slopes_on_weighted_diagrams():
         y = np.concatenate(([0.0], np.cumsum(w * v)))
         slopes = gcm_left_slopes(CusumDiagram(x=x, y=y))
         np.testing.assert_allclose(pava(v, w), slopes, atol=1e-12)
+
+
+# --- pava_blocks against the Python loop -----------------------------------
+
+@st.composite
+def _pava_cases(draw):
+    n = draw(st.integers(1, 40))
+    kind = draw(st.sampled_from(("continuous", "levels", "near-sorted", "ulps")))
+    if kind == "continuous":
+        values = draw(st.lists(st.floats(-100.0, 100.0), min_size=n, max_size=n))
+    elif kind == "levels":
+        # a few rounded levels make exact ties
+        values = [round(x, 1) for x in draw(st.lists(st.floats(0.0, 0.3), min_size=n, max_size=n))]
+    elif kind == "near-sorted":
+        values = sorted(draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n)))
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        values[i], values[j] = values[j], values[i]
+    else:
+        # values a few ulp apart, where pooled means round across neighbours
+        base = draw(st.sampled_from((0.1, 0.45, 0.5, 1.0 / 3.0)))
+        steps = draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))
+        values = [base + k * np.spacing(base) for k in steps]
+    weighting = draw(st.sampled_from(("unit", "random", "integer")))
+    if weighting == "unit":
+        weights = [1.0] * n
+    elif weighting == "random":
+        weights = draw(st.lists(st.floats(0.01, 10.0), min_size=n, max_size=n))
+    else:
+        weights = [float(k) for k in draw(st.lists(st.integers(1, 30), min_size=n, max_size=n))]
+    return np.array(values), np.array(weights)
+
+
+@given(_pava_cases())
+# monotone, but scipy pools the two levels and lowers the value below 0.45
+@example((np.array([0.45] * 8 + [np.nextafter(0.45, 1.0)] * 28 + [0.48] * 5), np.ones(41)))
+@example((np.array([2.0, 1.0, 1.5]), np.ones(3)))
+@example((np.array([0.3]), np.array([2.0])))
+@example((np.array([0.7] * 6), np.array([3.0, 1.0, 4.0, 1.0, 5.0, 9.0])))
+@example((
+    # scipy's pooled mean of the first two entries rounds below the next
+    # block's, so splitting that tied block would break monotonicity
+    np.array([0.4999999999999999, 0.4999999999999999, 0.5000000000000003,
+              0.4999999999999998, 0.4999999999999999, 0.4999999999999998,
+              0.5000000000000002]),
+    np.array([6.0, 3.0, 1.0, 9.0, 5.0, 1.0, 3.0]),
+))
+def test_pava_blocks_matches_loop_oracle(case):
+    v, w = case
+    fitted, sizes = pava_blocks(v, w)
+    want, want_sizes = pava_blocks_loop(v, w)
+    assert sizes.sum() == v.size and np.all(sizes >= 1)
+
+    # exact on every input
+    assert np.all(fitted[1:] >= fitted[:-1])
+    again, again_sizes = pava_blocks(fitted, w)
+    assert again.tobytes() == fitted.tobytes()
+    assert np.all(again_sizes == 1)
+    single = np.repeat(sizes == 1, sizes)
+    assert fitted[single].tobytes() == v[single].tobytes()
+    if np.all(np.diff(v) >= 0.0):
+        assert fitted.tobytes() == v.tobytes()
+        assert np.all(sizes == 1)
+
+    # Fitted values: both are the rounded weighted mean of a block, summed
+    # in different orders, so they agree to the block size in ulps.
+    ulp = np.spacing(np.max(np.abs(v)))
+    block = np.maximum(np.repeat(sizes, sizes), np.repeat(want_sizes, want_sizes))
+    tol = 2.0 * block * ulp
+    assert np.all(np.abs(fitted - want) <= tol)
+
+    # Block partitions differ only where two neighbouring blocks have means
+    # equal to that rounding, so pooling them or not is a rounding choice.
+    ours = set(np.cumsum(sizes)[:-1].tolist())
+    theirs = set(np.cumsum(want_sizes)[:-1].tolist())
+    for b in ours ^ theirs:
+        bound = max(tol[b - 1], tol[b])
+        assert abs(fitted[b] - fitted[b - 1]) <= bound
+        assert abs(want[b] - want[b - 1]) <= bound

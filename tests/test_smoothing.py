@@ -254,6 +254,18 @@ def test_all_zero_indicators_give_empty_g1():
     assert np.all(sm.g == sm.g0)
 
 
+def test_lazy_curves_do_not_depend_on_read_order():
+    sample = build_sample(_records([0.1, 0.4, 0.4, 1.7, 2.5, 3.0], [0, 1, 0, 1, 1, 0]))
+    lazy = ("dg0", "dg1", "dg", "G0", "G1", "G")
+    first = fit_smoothed(sample, KERNEL, 0.8)
+    read_first = {key: getattr(first, key) for key in lazy}
+    later = fit_smoothed(sample, KERNEL, 0.8)
+    for key in reversed(lazy):
+        later.eval(key, [0.0, 0.5, 2.2])
+    for key in lazy:
+        assert getattr(later, key).tobytes() == read_first[key].tobytes()
+
+
 @st.composite
 def _smoothing_cases(draw):
     h = draw(st.floats(0.05, 2.0))
