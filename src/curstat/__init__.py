@@ -39,7 +39,6 @@ from .errors import (
 from .kernels import (
     BoundaryKernelFamily,
     Kernel,
-    ScaledKernel,
     boundary_family,
     triweight,
 )
@@ -112,7 +111,6 @@ __all__ = [
     "PilotDegenerate",
     # kernels
     "Kernel",
-    "ScaledKernel",
     "BoundaryKernelFamily",
     "triweight",
     "boundary_family",

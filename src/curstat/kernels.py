@@ -27,7 +27,6 @@ from .errors import NonpositiveBandwidth, OutOfDomain
 
 __all__ = [
     "Kernel",
-    "ScaledKernel",
     "BoundaryKernelFamily",
     "triweight",
     "boundary_family",
@@ -140,31 +139,6 @@ def check_bandwidth(h) -> None:
         raise NonpositiveBandwidth(f"bandwidth must be positive, got {h}")
 
 
-@dataclass(frozen=True)
-class ScaledKernel:
-    """A kernel rescaled to bandwidth ``h``.
-
-    ``K_h(u) = K(u/h)``, ``k_h(u) = k(u/h)/h`` and
-    ``k_prime_h(u) = k'(u/h)/h^2``, so ``k_h`` integrates to one and is the
-    derivative of ``K_h``.
-    """
-
-    base: Kernel
-    h: float
-
-    def __post_init__(self):
-        check_bandwidth(self.h)
-
-    def K_h(self, u):
-        return self.base.K(np.asarray(u, dtype=float) / self.h)
-
-    def k_h(self, u):
-        return self.base.k(np.asarray(u, dtype=float) / self.h) / self.h
-
-    def k_prime_h(self, u):
-        return self.base.k_prime(np.asarray(u, dtype=float) / self.h) / (self.h * self.h)
-
-
 class BoundaryKernelFamily:
     """Linearly corrected kernels for the left boundary region.
 
@@ -200,22 +174,6 @@ class BoundaryKernelFamily:
         """Return ``(nu2, nu1, denom)`` of the correction at ``beta`` (scalar or array)."""
         nu0, nu1, nu2 = (self.nu(i, beta) for i in range(3))
         return nu2, nu1, nu0 * nu2 - nu1 * nu1
-
-    def eval(self, beta: float, u):
-        """Evaluate ``k_beta`` at ``u`` (scalar or array).
-
-        For ``beta >= 1`` the correction is the identity and the base
-        kernel is returned exactly.
-        """
-        u = np.asarray(u, dtype=float)
-        if beta >= 1.0:
-            return self.base.k(u)
-        if beta < 0.0:
-            raise OutOfDomain(f"beta must be nonnegative, got {beta}")
-        nu2, nu1, denom = self.coefficients(beta)
-        inside = (u > -1.0) & (u <= beta)
-        vals = (nu2 - nu1 * u) / denom * self.base.k(u)
-        return np.where(inside, vals, 0.0)
 
 
 @lru_cache(maxsize=None)

@@ -62,13 +62,6 @@ _MAX_GRID_NODES = 2**20
 
 _CURVES = ("g0", "g1", "g", "dg0", "dg1", "dg", "G0", "G1", "G")
 
-# Accept both the attribute spelling and a prime/integral spelling.
-_CURVE_ALIASES = {
-    "g0'": "dg0",
-    "g1'": "dg1",
-    "g'": "dg",
-}
-
 
 @dataclass(frozen=True)
 class SmoothedMeasures:
@@ -160,8 +153,7 @@ class SmoothedMeasures:
         Parameters
         ----------
         which : str
-            One of ``g0, g1, g, dg0, dg1, dg, G0, G1, G`` (primes are
-            accepted as an alias for the ``d`` prefix).
+            One of ``g0, g1, g, dg0, dg1, dg, G0, G1, G``.
         t : array_like
             Evaluation points, all nonnegative.
 
@@ -177,14 +169,13 @@ class SmoothedMeasures:
         OutOfDomain
             If any evaluation point is negative.
         """
-        key = _CURVE_ALIASES.get(which, which)
-        if key not in _CURVES:
+        if which not in _CURVES:
             raise ValueError(f"unknown curve {which!r}; expected one of {_CURVES}")
         arr = np.asarray(t, dtype=float)
         if arr.size and (not np.all(np.isfinite(arr)) or np.any(arr < 0.0)):
             raise OutOfDomain("evaluation points must be finite and nonnegative")
-        tab = getattr(self, key)
-        right = float(tab[-1]) if key.startswith("G") else 0.0
+        tab = getattr(self, which)
+        right = float(tab[-1]) if which.startswith("G") else 0.0
         out = np.interp(arr, self.grid, tab, left=tab[0], right=right)
         if np.ndim(t) == 0:
             return float(out)
@@ -274,15 +265,31 @@ def _binned_moments(
     times: np.ndarray, weights: np.ndarray, delta: float, powers: int
 ) -> np.ndarray:
     """``S[c, p, l]``: the sum of ``weights[j, c] * r_j^p`` over the
-    observations ``T_j = (l + r_j) * delta`` with ``0 <= r_j < 1``."""
+    observations ``T_j = (l + r_j) * delta`` with ``0 <= r_j < 1``.
+
+    The powers ``r^p`` are built by repeated multiplication into one
+    ``(powers, n)`` buffer, and each indicator class is weighted into a
+    second such buffer and summed cell by cell on its own, so no
+    ``(n, classes, powers)`` product is formed.  These are the products
+    and sums ``np.vander`` and one ``reduceat`` over all classes would
+    take, so the moments are the same bits.
+    """
     x = times / delta
     cell = np.floor(x)
-    terms = weights[:, :, None] * np.vander(x - cell, powers, increasing=True)[:, None, :]
+    r_powers = np.empty((powers, x.size))
+    r_powers[0] = 1.0
+    if powers > 1:
+        np.subtract(x, cell, out=r_powers[1])
+    for p in range(2, powers):
+        np.multiply(r_powers[p - 1], r_powers[1], out=r_powers[p])
     cell = cell.astype(np.int64)
     # times are sorted, so the observations of a cell are contiguous
     starts = np.flatnonzero(np.diff(cell, prepend=-1))
     moments = np.zeros((weights.shape[1], powers, cell[-1] + 1))
-    moments[:, :, cell[starts]] = np.add.reduceat(terms, starts, axis=0).transpose(1, 2, 0)
+    terms = np.empty_like(r_powers)
+    for c in range(weights.shape[1]):
+        np.multiply(weights[:, c], r_powers, out=terms)
+        moments[c][:, cell[starts]] = np.add.reduceat(terms, starts, axis=1)
     return moments
 
 

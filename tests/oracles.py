@@ -5,7 +5,9 @@ programming over a value grid, dense quadrature, golden-section search,
 direct kernel sums, a monotone-chain convex hull in exact integer
 arithmetic, pool adjacent violators and a per-line CSV reader as Python
 loops) without touching the library's own algorithms, so the two
-routes stay independent.  The one borrowing is the closed-form boundary
+routes stay independent.  The rescaled kernel, the corrected boundary
+kernel ``k_beta`` and the ``np.vander`` binned moments are the
+library's earlier direct routes to the same quantities.  The one borrowing is the closed-form boundary
 moments ``nu`` in :func:`direct_smoothed`, which are checked against
 :func:`nu_moment` on their own.
 """
@@ -18,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from curstat.errors import InputError, OutOfDomain
-from curstat.kernels import boundary_family
+from curstat.kernels import Kernel, boundary_family, check_bandwidth
 
 
 def grid_mle_oracle(deltas, steps=400):
@@ -104,6 +106,62 @@ def nu_moment(kernel, i, beta, nodes=QUAD_NODES):
     u = np.linspace(-1.0, beta, nodes)
     spacing = (beta + 1.0) / (nodes - 1)
     return float(simpson(np.asarray(kernel.k(u), dtype=float) * u**i, spacing))
+
+
+@dataclass(frozen=True)
+class ScaledKernel:
+    """A kernel rescaled to bandwidth ``h``.
+
+    ``K_h(u) = K(u/h)``, ``k_h(u) = k(u/h)/h`` and
+    ``k_prime_h(u) = k'(u/h)/h^2``, so ``k_h`` integrates to one and is the
+    derivative of ``K_h``.
+    """
+
+    base: Kernel
+    h: float
+
+    def __post_init__(self):
+        check_bandwidth(self.h)
+
+    def K_h(self, u):
+        return self.base.K(np.asarray(u, dtype=float) / self.h)
+
+    def k_h(self, u):
+        return self.base.k(np.asarray(u, dtype=float) / self.h) / self.h
+
+    def k_prime_h(self, u):
+        return self.base.k_prime(np.asarray(u, dtype=float) / self.h) / (self.h * self.h)
+
+
+def boundary_kernel(family, beta: float, u):
+    """The corrected kernel ``k_beta`` of a boundary family at ``u``:
+    ``(nu2 - nu1 u) / D * k(u)`` on ``(-1, beta]``, 0 elsewhere.
+
+    For ``beta >= 1`` the correction is the identity and the base kernel
+    is returned exactly.
+    """
+    u = np.asarray(u, dtype=float)
+    if beta >= 1.0:
+        return family.base.k(u)
+    if beta < 0.0:
+        raise OutOfDomain(f"beta must be nonnegative, got {beta}")
+    nu2, nu1, denom = family.coefficients(beta)
+    inside = (u > -1.0) & (u <= beta)
+    vals = (nu2 - nu1 * u) / denom * family.base.k(u)
+    return np.where(inside, vals, 0.0)
+
+
+def binned_moments_vander(times, weights, delta, powers):
+    """``S[c, p, l]`` of the binned smoothing through one ``np.vander``
+    table and its ``(n, classes, powers)`` product with the weights."""
+    x = times / delta
+    cell = np.floor(x)
+    terms = weights[:, :, None] * np.vander(x - cell, powers, increasing=True)[:, None, :]
+    cell = cell.astype(np.int64)
+    starts = np.flatnonzero(np.diff(cell, prepend=-1))
+    moments = np.zeros((weights.shape[1], powers, cell[-1] + 1))
+    moments[:, :, cell[starts]] = np.add.reduceat(terms, starts, axis=0).transpose(1, 2, 0)
+    return moments
 
 
 def _scatter_sums(grid, times, weights, kernel, h, n):

@@ -11,11 +11,11 @@ from curstat import cli
 from curstat.cli import _fmt, main, read_observations
 from curstat.errors import InputError
 from curstat.estimators import naive_F, naive_f, smle_F, smle_f
-from curstat.kernels import ScaledKernel, triweight
+from curstat.kernels import triweight
 from curstat.mle import build_sample, fit_mle
 from curstat.sim import sample_current_status, truth_gamma4_exp3
 from curstat.smoothing import fit_smoothed
-from oracles import read_observations_loop
+from oracles import ScaledKernel, read_observations_loop
 
 KERNEL = triweight()
 TRUTH = truth_gamma4_exp3()
@@ -132,6 +132,18 @@ def _read_outcome(reader, path):
 @example(text="t,delta\n1,0 # inline\n")
 @example(text="t,delta\n-0,-0\n1e400,1\n")
 @example(text="t,delta\r\n1,1\r2,0\x0c3,1\x1c")
+# the edges of the clean-file route
+@example(text="t,delta\n")  # header, no rows
+@example(text="t,delta\n1,1\n0.5,0")  # no trailing newline
+@example(text="t,delta\n1,1\n\n2,0\n")  # inner blank line
+@example(text="t,delta\n1,1\n\n2,0\n3,2\n")  # ... and a bad row after it
+@example(text="t,delta\n\n1,1\n")  # blank line after the header
+@example(text="t,delta\r\n1,1\r\n2,0\r\n")  # CRLF
+@example(text="t,delta\n1,1\n 2,0\n")  # space before a field
+@example(text="t,delta\n1,1\n1e400,1\n")
+@example(text="t,delta\n-0,0\n")
+@example(text="t,delta\n1.0,1.0\n")
+@example(text="t,delta\n1,1\n2,0,1\n")  # three fields, all in the clean alphabet
 def test_reader_matches_per_line_loop(tmp_path_factory, text):
     path = tmp_path_factory.getbasetemp() / "fuzz.csv"
     path.write_bytes(text.encode("utf-8"))
@@ -149,6 +161,21 @@ def test_reader_takes_the_array_route_on_clean_files(tmp_path, monkeypatch):
     np.testing.assert_array_equal(
         read_observations(str(p)), [[2.5, 1.0], [0.0, 0.0], [1e-300, 1.0]]
     )
+
+
+def test_reader_skips_the_general_filter_on_clean_files(tmp_path, monkeypatch):
+    def no_filter(*args):
+        raise AssertionError("general filter used on a clean file")
+
+    monkeypatch.setattr(cli, "_filtered_rows", no_filter)
+    p = tmp_path / "obs.csv"
+    p.write_text("t,delta\n2.5,1\n0,0\n1e-300,1\n", encoding="utf-8")
+    np.testing.assert_array_equal(
+        read_observations(str(p)), [[2.5, 1.0], [0.0, 0.0], [1e-300, 1.0]]
+    )
+    p.write_text("t,delta\n2.5,1\n0,2\n", encoding="utf-8")
+    with pytest.raises(InputError, match="obs.csv:3: delta must be 0 or 1"):
+        read_observations(str(p))
 
 
 def test_invalid_utf8_exits_2(tmp_path, capsys):

@@ -26,9 +26,10 @@ from curstat.estimators import (
     smle_f,
     smle_lambda,
 )
-from curstat.kernels import ScaledKernel, triweight
+from curstat.kernels import triweight
 from curstat.mle import StepDistribution, build_sample, fit_mle, pava
 from curstat.smoothing import fit_smoothed
+from oracles import ScaledKernel
 
 KERNEL = triweight()
 
