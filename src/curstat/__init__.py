@@ -47,7 +47,6 @@ from .mle import (
     StepDistribution,
     build_sample,
     fit_mle,
-    pava,
     pava_blocks,
 )
 from .smoothing import SmoothedMeasures, fit_smoothed
@@ -119,7 +118,6 @@ __all__ = [
     "StepDistribution",
     "build_sample",
     "fit_mle",
-    "pava",
     "pava_blocks",
     # smoothed measures
     "SmoothedMeasures",

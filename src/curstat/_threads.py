@@ -5,8 +5,9 @@ Replicate i of a simulation always draws from a generator seeded by
 seed no matter how many workers run the loop.  Aggregation happens by
 replicate index, never by completion order.
 
-The worker count is capped by the CURSTAT_THREADS environment variable;
-unset or invalid values fall back to a small default.
+The worker count is capped by the CURSTAT_THREADS environment variable
+and by the CPU count; unset or invalid values fall back to a small
+default.
 """
 
 from __future__ import annotations
@@ -25,9 +26,7 @@ def thread_count() -> int:
         k = int(raw)
     except ValueError:
         k = 0
-    if k >= 1:
-        return k
-    return min(4, os.cpu_count() or 1)
+    return min(k if k >= 1 else 4, os.cpu_count() or 1)
 
 
 def child_rng(master_seed: int, index: int) -> np.random.Generator:

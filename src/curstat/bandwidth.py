@@ -56,7 +56,7 @@ from .estimators import (
 )
 from .kernels import Kernel
 from .mle import ObservedSample, StepDistribution, build_sample, fit_mle
-from .smoothing import fit_smoothed
+from .smoothing import SmoothedMeasures, fit_smoothed
 from .sim import TruthSpec
 
 __all__ = [
@@ -345,13 +345,15 @@ def _point_estimate(
     h: float,
     t: float,
     mle: StepDistribution | None = None,
+    sm: SmoothedMeasures | None = None,
 ) -> float:
     if method == "SM":
         if mle is None:
             mle = fit_mle(sample)
         return float(_SMLE_EVAL[target](mle, kernel, h, t))
-    fit = fit_msle(fit_smoothed(sample, kernel, h))
-    return float(_MSLE_EVAL[target](fit, t))
+    if sm is None:
+        sm = fit_smoothed(sample, kernel, h)
+    return float(_MSLE_EVAL[target](fit_msle(sm), t))
 
 
 def _refine_minimizer(c_grid: np.ndarray, mse: np.ndarray) -> tuple[float, bool]:
@@ -406,7 +408,7 @@ def bootstrap_bandwidth(
     pilot_sm = fit_smoothed(sample, kernel, h0)
     pilot_mle = fit_mle(sample)
     pilot_value = _point_estimate(
-        target, method, sample, kernel, h0, config.t, mle=pilot_mle
+        target, method, sample, kernel, h0, config.t, mle=pilot_mle, sm=pilot_sm
     )
 
     # tabulate the smoothed MLE distribution for inversion

@@ -296,10 +296,11 @@ def _smle_sum(mle: StepDistribution, h: float, t, weight):
     """``sum_j masses_j * weight((t - tau_j) / h)`` at ``t``.
 
     A Python scalar ``t`` (the selectors' thousands of point evaluations)
-    is checked and evaluated without the array round trip.  It gives the
-    same bits as a one-element array: numpy's matmul reduces a one-row
-    product with the same dot kernel as a 1-d by 1-d product.  Arrays
-    are evaluated in blocks of ``_SMLE_BLOCK`` points.
+    is checked and weighted in Python floats, one jump at a time.  It
+    gives the same bits as a one-element array: the same IEEE operations
+    as the ufuncs, and the same dot (numpy's matmul reduces a one-row
+    product with the same kernel as a 1-d by 1-d product).  Arrays are
+    evaluated in blocks of ``_SMLE_BLOCK`` points.
     """
     if isinstance(t, (float, int)):
         x = float(t)
@@ -308,7 +309,8 @@ def _smle_sum(mle: StepDistribution, h: float, t, weight):
         check_bandwidth(h)
         if mle.jump_times.size == 0:
             return 0.0
-        return float(weight((x - mle.jump_times) / h) @ mle.masses)
+        weights = [weight((x - tau) / h) for tau in mle.jump_times.tolist()]
+        return float(np.array(weights) @ mle.masses)
     arr = _as_array(t)
     check_bandwidth(h)
     if mle.jump_times.size == 0:

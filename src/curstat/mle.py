@@ -41,7 +41,6 @@ __all__ = [
     "StepDistribution",
     "build_sample",
     "fit_mle",
-    "pava",
     "pava_blocks",
 ]
 
@@ -199,11 +198,3 @@ def pava_blocks(values, weights) -> tuple[np.ndarray, np.ndarray]:
         fitted = np.where(np.repeat(keep, sizes), v, fit.x)
     sizes = np.repeat(np.where(keep, 1, sizes), np.where(keep, sizes, 1))
     return fitted, sizes
-
-
-def pava(values, weights) -> np.ndarray:
-    """Weighted least-squares nondecreasing fit (pool adjacent violators).
-
-    See :func:`pava_blocks`; this returns only the fitted values.
-    """
-    return pava_blocks(values, weights)[0]

@@ -24,7 +24,6 @@ from curstat import (
     fit_smoothed,
     mc_bandwidth,
     msle_F,
-    pava,
     sample_current_status,
     smle_F,
     smle_f,
@@ -42,6 +41,7 @@ from oracles import (
     gcm_left_slopes,
     golden_section_min,
     grid_mle_oracle,
+    pava,
     simpson,
 )
 

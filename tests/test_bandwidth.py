@@ -1,5 +1,7 @@
 """Tests for the asymptotic MSE formulas and the resampling selectors."""
 
+import os
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,7 @@ from curstat.bandwidth import (
     variance_factor,
 )
 from curstat.bandwidth import _refine_minimizer
+from curstat._threads import thread_count
 from curstat.errors import (
     DegenerateBias,
     EmptyGrid,
@@ -203,6 +206,20 @@ def test_bootstrap_thread_count_invariance(monkeypatch):
     b = bootstrap_bandwidth(sample, cfg, "F", "SM", KERNEL)
     assert a.c_hat == b.c_hat
     np.testing.assert_array_equal(a.mse, b.mse)
+
+
+def test_thread_count_is_capped_at_the_cpu_count(monkeypatch):
+    # only the count is read; no pool of that size is ever started
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    monkeypatch.setenv("CURSTAT_THREADS", "100000")
+    assert thread_count() == 3
+    monkeypatch.setenv("CURSTAT_THREADS", "2")
+    assert thread_count() == 2
+    monkeypatch.setenv("CURSTAT_THREADS", "not a number")
+    assert thread_count() == 3
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    monkeypatch.setenv("CURSTAT_THREADS", "8")
+    assert thread_count() == 1
 
 
 def test_bootstrap_rejects_oversized_m():

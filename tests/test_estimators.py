@@ -27,9 +27,9 @@ from curstat.estimators import (
     smle_lambda,
 )
 from curstat.kernels import triweight
-from curstat.mle import StepDistribution, build_sample, fit_mle, pava
+from curstat.mle import StepDistribution, build_sample, fit_mle
 from curstat.smoothing import fit_smoothed
-from oracles import ScaledKernel
+from oracles import ScaledKernel, pava
 
 KERNEL = triweight()
 
@@ -368,6 +368,7 @@ def _outcome(fn, *args):
 
 
 _BAD_T = (-1.0, np.nan, np.inf)
+_JUMPS_AT_2_AND_4 = dict(times=[1.0, 2.0, 3.0, 4.0], deltas=[0, 1, 0, 1] + [0] * 36)
 _BAD_H = (0.0, -0.5, np.nan)
 
 
@@ -381,6 +382,12 @@ _BAD_H = (0.0, -0.5, np.nan)
 @example(times=[1.0, 2.0], deltas=[1] * 40, t=9.0, h=0.5)  # F = 1: hazard ceiling
 @example(times=[1.0], deltas=[1] * 40, t=-1.0, h=0.0)  # bad t and bad h
 @example(times=[1.0], deltas=[1] * 40, t=1.0, h=np.nan)
+# jumps at 2 and 4: exactly h from t on either side (u = -1 and +1), one
+# ulp beyond through h or through t, and t at a jump time (u = 0)
+@example(**_JUMPS_AT_2_AND_4, t=3.0, h=1.0)
+@example(**_JUMPS_AT_2_AND_4, t=3.0, h=float(np.nextafter(1.0, 0.0)))
+@example(**_JUMPS_AT_2_AND_4, t=float(np.nextafter(3.0, 4.0)), h=1.0)
+@example(**_JUMPS_AT_2_AND_4, t=2.0, h=1.0)
 @example(  # 7 jumps inside the window
     times=list(np.arange(40) / 4.0),
     deltas=[int(c) for c in "0001000001000101100111011111011111110111"],

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from curstat.errors import NonpositiveBandwidth, OutOfDomain
 from curstat.kernels import BoundaryKernelFamily, Kernel, boundary_family, triweight
@@ -52,6 +54,39 @@ def test_kernel_rejects_odd_or_unnormalized_polynomial():
     with pytest.raises(ValueError):
         Kernel("heavy", (1.0,))
     assert Kernel("uniform", (0.5,)).l2_k == 0.5
+
+
+_KERNELS = (
+    triweight(),
+    Kernel("epanechnikov", (0.75, 0.0, -0.75)),
+    Kernel("uniform", (0.5,)),
+)
+
+
+@given(u=st.floats(allow_nan=False))
+@example(u=1.0)
+@example(u=-1.0)
+@example(u=float(np.nextafter(1.0, 2.0)))
+@example(u=float(np.nextafter(-1.0, -2.0)))
+@example(u=float(np.nextafter(1.0, 0.0)))
+@example(u=float(np.nextafter(-1.0, 0.0)))
+@example(u=-0.9999999999999973)  # the triweight K sum rounds below 0 here
+@example(u=0.0)
+@example(u=-0.0)
+@example(u=1e-300)
+@example(u=-1e-300)
+@example(u=1e300)
+@example(u=-1e300)
+def test_float_branch_matches_one_element_array(u):
+    for kern in _KERNELS:
+        for fn in (kern.K, kern.k):
+            got = fn(u)
+            assert type(got) is float, (kern.name, fn)
+            with np.errstate(all="ignore"):  # numpy warns where u * u overflows
+                want = fn(np.array([u])).tobytes()
+                numpy_scalar = fn(np.float64(u))
+            assert np.array([got]).tobytes() == want, (kern.name, fn)
+            assert np.array([numpy_scalar]).tobytes() == want, (kern.name, fn)
 
 
 def test_first_moment_vanishes_by_symmetry():

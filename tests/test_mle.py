@@ -14,7 +14,7 @@ from curstat.errors import (
 )
 from curstat.estimators import smle_F
 from curstat.kernels import triweight
-from curstat.mle import build_sample, fit_mle, pava, pava_blocks
+from curstat.mle import build_sample, fit_mle, pava_blocks
 
 from oracles import (
     CusumDiagram,
@@ -22,6 +22,7 @@ from oracles import (
     gcm_left_slopes,
     grid_mle_oracle,
     hull_mle,
+    pava,
     pava_blocks_loop,
 )
 
