@@ -21,6 +21,7 @@ segments.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -296,11 +297,15 @@ def _smle_sum(mle: StepDistribution, h: float, t, weight):
     """``sum_j masses_j * weight((t - tau_j) / h)`` at ``t``.
 
     A Python scalar ``t`` (the selectors' thousands of point evaluations)
-    is checked and weighted in Python floats, one jump at a time.  It
-    gives the same bits as a one-element array: the same IEEE operations
-    as the ufuncs, and the same dot (numpy's matmul reduces a one-row
-    product with the same kernel as a 1-d by 1-d product).  Arrays are
-    evaluated in blocks of ``_SMLE_BLOCK`` points.
+    is checked and weighted in Python floats.  Only the jumps with
+    ``|u| <= 1`` are weighted one at a time, so the Python work does not
+    grow with the jumps far from ``t``: every jump beyond gets
+    ``weight(2.0)`` or ``weight(-2.0)``, which is ``weight(u)`` for all
+    ``u > 1`` or ``u < -1``.  It gives the same bits as a one-element
+    array: the same IEEE operations as the ufuncs, and the same dot
+    (numpy's matmul reduces a one-row product with the same kernel as a
+    1-d by 1-d product).  Arrays are evaluated in blocks of
+    ``_SMLE_BLOCK`` points.
     """
     if isinstance(t, (float, int)):
         x = float(t)
@@ -309,7 +314,20 @@ def _smle_sum(mle: StepDistribution, h: float, t, weight):
         check_bandwidth(h)
         if mle.jump_times.size == 0:
             return 0.0
-        weights = [weight((x - tau) / h) for tau in mle.jump_times.tolist()]
+        jt = mle.jump_times.tolist()
+        # u = (x - tau) / h falls with tau; the bisections on x - h and
+        # x + h may leave out a neighbour that rounding puts at |u| = 1
+        lo = bisect_left(jt, x - h)
+        while lo and (x - jt[lo - 1]) / h <= 1.0:
+            lo -= 1
+        hi = bisect_right(jt, x + h, lo=lo)
+        while hi < len(jt) and (x - jt[hi]) / h >= -1.0:
+            hi += 1
+        weights = [weight((x - tau) / h) for tau in jt[lo:hi]]
+        if lo:
+            weights = [weight(2.0)] * lo + weights
+        if hi < len(jt):
+            weights += [weight(-2.0)] * (len(jt) - hi)
         return float(np.array(weights) @ mle.masses)
     arr = _as_array(t)
     check_bandwidth(h)

@@ -68,8 +68,7 @@ class Kernel:
     accept scalars or arrays and return values of the same shape; outside
     [-1, 1] the density and derivative are 0 and ``K`` saturates at 0 or 1.
     A float in ``k`` or ``K`` gives a float out, with the bits of a
-    one-element array: the same IEEE operations in the same order, and
-    beyond [-1, 1] ``K``'s values at -1 and 1, computed once.
+    one-element array: the same IEEE operations in the same order.
     ``m2``, ``l2_k`` and ``l2_kprime`` are the second moment and the
     integrals of ``k^2`` and ``k'^2``.
     """
@@ -107,10 +106,7 @@ class Kernel:
 
     def K(self, u):
         if isinstance(u, float):
-            if u <= -1.0:
-                return self._K_ends[0]
-            if u >= 1.0:
-                return self._K_ends[1]
+            u = -1.0 if u < -1.0 else 1.0 if u > 1.0 else u
             v = 0.5 + u * _horner(self._forms[2], u * u)
             return 0.0 if v < 0.0 else 1.0 if v > 1.0 else v
         # np.minimum(np.maximum(...)) is np.clip without its Python-level
@@ -119,11 +115,6 @@ class Kernel:
         # near the support ends the sum cancels to a few ulps, which may
         # leave [0, 1]
         return np.minimum(np.maximum(0.5 + u * _horner(self._forms[2], u * u), 0.0), 1.0)
-
-    @cached_property
-    def _K_ends(self) -> tuple[float, float]:
-        """``K(-1)`` and ``K(1)`` by the array route."""
-        return tuple(self.K(np.array([-1.0, 1.0])).tolist())
 
     def k_prime(self, u):
         u = np.asarray(u, dtype=float)

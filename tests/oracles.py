@@ -7,11 +7,9 @@ arithmetic, pool adjacent violators and a per-line CSV reader as Python
 loops) without touching the library's own algorithms, so the two
 routes stay independent.  The rescaled kernel, the corrected boundary
 kernel ``k_beta`` and the ``np.vander`` binned moments are the
-library's earlier direct routes to the same quantities.  Two things
-are borrowed: the closed-form boundary moments ``nu`` in
-:func:`direct_smoothed`, which are checked against :func:`nu_moment` on
-their own, and :func:`pava`, which is the library's ``pava_blocks``
-without its block sizes, for the tests that compare fitted values.
+library's earlier direct routes to the same quantities.  The one borrowing is the closed-form boundary
+moments ``nu`` in :func:`direct_smoothed`, which are checked against
+:func:`nu_moment` on their own.
 """
 
 from __future__ import annotations
@@ -23,7 +21,6 @@ import numpy as np
 
 from curstat.errors import InputError, OutOfDomain
 from curstat.kernels import Kernel, boundary_family, check_bandwidth
-from curstat.mle import pava_blocks
 
 
 def grid_mle_oracle(deltas, steps=400):
@@ -302,12 +299,6 @@ def hull_mle(sample):
     slopes = gcm_left_slopes(cusum(sample))
     jump = slopes > np.concatenate(([0.0], slopes[:-1]))
     return sample.times[jump], slopes[jump]
-
-
-def pava(values, weights) -> np.ndarray:
-    """The fitted values of :func:`curstat.mle.pava_blocks`, without the
-    block sizes: the weighted least-squares nondecreasing fit."""
-    return pava_blocks(values, weights)[0]
 
 
 def pava_blocks_loop(values, weights):

@@ -24,6 +24,7 @@ from curstat import (
     fit_smoothed,
     mc_bandwidth,
     msle_F,
+    pava_blocks,
     sample_current_status,
     smle_F,
     smle_f,
@@ -41,7 +42,6 @@ from oracles import (
     gcm_left_slopes,
     golden_section_min,
     grid_mle_oracle,
-    pava,
     simpson,
 )
 
@@ -121,7 +121,7 @@ def test_criterion_3_mle_against_grid_oracle_and_pava():
         x = np.concatenate([[0.0], np.cumsum(weights)])
         y = np.concatenate([[0.0], np.cumsum(weights * values)])
         slopes = gcm_left_slopes(CusumDiagram(x=x, y=y))
-        assert np.max(np.abs(slopes - pava(values, weights))) < 1e-12
+        assert np.max(np.abs(slopes - pava_blocks(values, weights)[0])) < 1e-12
     elapsed = budget.check()
     print(f"\ncriterion 3 PASS: 126 exhaustive patterns vs DP oracle, 1000 hull=pava cases ({elapsed:.2f}s)")
 
@@ -156,7 +156,7 @@ def test_criterion_5_msle_equals_naive_under_monotonicity():
             assert np.max(np.abs(fit.F_tab[touch] - ratio)) < 1e-8
         w = sm.g * sm.spacing
         active = np.flatnonzero(w > 0.0)
-        want = pava(sm.g1[active] / sm.g[active], w[active])
+        want = pava_blocks(sm.g1[active] / sm.g[active], w[active])[0]
         assert np.max(np.abs(fit.F_tab[active] - want)) <= 1e-8
         # shape ride-along asserted on every sample in the suite
         assert fit.F_tab[0] >= 0.0 and fit.F_tab[-1] <= 1.0
@@ -230,7 +230,7 @@ def test_criterion_8_conservation_and_shape():
     print(f"\ncriterion 8 PASS: {seed} samples, density mass = MLE mass, F-curves in [0,1], monotone ({elapsed:.1f}s)")
 
 
-def test_criterion_9_byte_identical_runs(tmp_path, monkeypatch):
+def test_criterion_9_byte_identical_runs(tmp_path, monkeypatch, eight_cpus):
     budget = _Budget(120.0)
     gen = sample_current_status(TRUTH, 200, 13)
     inp = tmp_path / "obs.csv"

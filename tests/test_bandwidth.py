@@ -195,7 +195,7 @@ def test_bootstrap_determinism():
     np.testing.assert_array_equal(a.mse, b.mse)
 
 
-def test_bootstrap_thread_count_invariance(monkeypatch):
+def test_bootstrap_thread_count_invariance(monkeypatch, eight_cpus):
     sample = _desk_sample()
     cfg = BootstrapConfig(
         m=150, B=8, c0=10.0, t=4.0, seed=7, c_grid=np.geomspace(3, 20, 6)
@@ -267,7 +267,7 @@ def test_monotone_mse_curve_flags_the_grid_end():
     assert sel.at_edge == (sel.c_hat in (3.0, 20.0))
 
 
-def test_mc_determinism_and_reorder_invariance(monkeypatch):
+def test_mc_determinism_and_reorder_invariance(monkeypatch, eight_cpus):
     c_grid = np.geomspace(3, 20, 6)
     a = mc_bandwidth(TRUTH, 300, 10, c_grid, 4.0, "F", "SM", KERNEL, seed=5)
     monkeypatch.setenv("CURSTAT_THREADS", "3")

@@ -439,7 +439,7 @@ def test_bandwidth_warns_when_selection_is_a_grid_end(tmp_path, capsys):
     assert "at_edge" not in payload
 
 
-def test_bandwidth_deterministic_bytes(tmp_path, monkeypatch):
+def test_bandwidth_deterministic_bytes(tmp_path, monkeypatch, eight_cpus):
     inp = _sample_csv(tmp_path / "obs.csv", n=150, seed=4)
     outs = []
     for name, threads in (("a.json", "1"), ("b.json", "4")):

@@ -26,10 +26,10 @@ from curstat.estimators import (
     smle_f,
     smle_lambda,
 )
-from curstat.kernels import triweight
-from curstat.mle import StepDistribution, build_sample, fit_mle
+from curstat.kernels import Kernel, triweight
+from curstat.mle import StepDistribution, build_sample, fit_mle, pava_blocks
 from curstat.smoothing import fit_smoothed
-from oracles import ScaledKernel, pava
+from oracles import ScaledKernel
 
 KERNEL = triweight()
 
@@ -126,7 +126,7 @@ def test_msle_slopes_match_pava_oracle():
         sm = _fit(rng, 200, 1.2)
         fit = fit_msle(sm)
         active = sm.g * sm.spacing > 0
-        want = pava(sm.g1[active] / sm.g[active], (sm.g * sm.spacing)[active])
+        want = pava_blocks(sm.g1[active] / sm.g[active], (sm.g * sm.spacing)[active])[0]
         np.testing.assert_allclose(
             fit.F_tab[active], want, rtol=0, atol=1e-8
         )
@@ -388,6 +388,10 @@ _BAD_H = (0.0, -0.5, np.nan)
 @example(**_JUMPS_AT_2_AND_4, t=3.0, h=float(np.nextafter(1.0, 0.0)))
 @example(**_JUMPS_AT_2_AND_4, t=float(np.nextafter(3.0, 4.0)), h=1.0)
 @example(**_JUMPS_AT_2_AND_4, t=2.0, h=1.0)
+# jumps at 2 and 4 two bandwidths from t (u = -2 and +2), and a bandwidth
+# below the spacing of the floats near t
+@example(**_JUMPS_AT_2_AND_4, t=3.0, h=0.5)
+@example(**_JUMPS_AT_2_AND_4, t=3.0, h=1e-20)
 @example(  # 7 jumps inside the window
     times=list(np.arange(40) / 4.0),
     deltas=[int(c) for c in "0001000001000101100111011111011111110111"],
@@ -400,6 +404,24 @@ def test_smle_scalar_path_matches_one_element_array(times, deltas, t, h):
         scalar = _outcome(fn, mle, KERNEL, h, t)
         assert scalar == _outcome(fn, mle, KERNEL, h, np.array([t], dtype=float)), fn
         assert scalar == _outcome(fn, mle, KERNEL, h, np.asarray(t, dtype=float)), fn
+
+
+@pytest.mark.parametrize(
+    "t, h, tau",
+    [
+        # tau lies below t - h and above t + h in floats, yet u rounds to
+        # exactly +1 and -1, where the uniform kernel is not zero
+        (6.0, 4.7791722878413, 1.2208277121586997),
+        (2.4068698799754196, 4.677891149642603, 7.084761029618023),
+    ],
+)
+def test_smle_scalar_path_weights_jumps_rounded_onto_the_support_ends(t, h, tau):
+    uniform = Kernel("uniform", (0.5,))
+    step = StepDistribution(jump_times=np.array([tau]), values=np.array([1.0]))
+    assert (tau < t - h or tau > t + h) and abs((t - tau) / h) == 1.0
+    for fn in (smle_F, smle_f):
+        assert fn(step, uniform, h, t) == fn(step, uniform, h, np.array([t]))[0], fn
+    assert smle_f(step, uniform, h, t) == 0.5 / h
 
 
 def test_smle_scalar_path_matches_array_path_with_many_jumps():

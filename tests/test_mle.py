@@ -22,7 +22,6 @@ from oracles import (
     gcm_left_slopes,
     grid_mle_oracle,
     hull_mle,
-    pava,
     pava_blocks_loop,
 )
 
@@ -232,27 +231,27 @@ def test_fit_mle_exhaustive_against_grid_oracle_small_n():
 # --- pava ------------------------------------------------------------------
 
 def test_pava_pools_violators():
-    np.testing.assert_allclose(pava([3.0, 1.0, 2.0], [1.0, 1.0, 1.0]), [2.0, 2.0, 2.0])
+    np.testing.assert_allclose(pava_blocks([3.0, 1.0, 2.0], [1.0, 1.0, 1.0])[0], [2.0, 2.0, 2.0])
 
 
 def test_pava_keeps_monotone_input_bitwise():
     v = np.array([0.1, 0.1, 0.25, 0.7])
-    out = pava(v, np.array([0.5, 2.0, 1.0, 3.0]))
+    out = pava_blocks(v, np.array([0.5, 2.0, 1.0, 3.0]))[0]
     assert out.tolist() == v.tolist()
 
 
 def test_pava_weighted_example():
     # single violation: pooled mean of (4, 1) with weights (1, 3) is 1.75
-    np.testing.assert_allclose(pava([4.0, 1.0], [1.0, 3.0]), [1.75, 1.75])
+    np.testing.assert_allclose(pava_blocks([4.0, 1.0], [1.0, 3.0])[0], [1.75, 1.75])
 
 
 def test_pava_rejects_bad_input():
     with pytest.raises(LengthMismatch):
-        pava([1.0, 2.0], [1.0])
+        pava_blocks([1.0, 2.0], [1.0])
     with pytest.raises(NonpositiveWeight):
-        pava([1.0, 2.0], [1.0, 0.0])
+        pava_blocks([1.0, 2.0], [1.0, 0.0])
     with pytest.raises(NonpositiveWeight):
-        pava([1.0, 2.0], [1.0, -2.0])
+        pava_blocks([1.0, 2.0], [1.0, -2.0])
 
 
 def test_pava_blocks_keeps_equal_inputs_apart():
@@ -269,8 +268,8 @@ def test_pava_idempotent_exactly():
         n = int(rng.integers(1, 40))
         v = rng.normal(size=n)
         w = rng.uniform(0.1, 5.0, size=n)
-        once = pava(v, w)
-        twice = pava(once, w)
+        once = pava_blocks(v, w)[0]
+        twice = pava_blocks(once, w)[0]
         assert np.array_equal(once, twice)
 
 
@@ -284,7 +283,7 @@ def test_pava_matches_gcm_slopes_on_weighted_diagrams():
         x = np.concatenate(([0.0], np.cumsum(w)))
         y = np.concatenate(([0.0], np.cumsum(w * v)))
         slopes = gcm_left_slopes(CusumDiagram(x=x, y=y))
-        np.testing.assert_allclose(pava(v, w), slopes, atol=1e-12)
+        np.testing.assert_allclose(pava_blocks(v, w)[0], slopes, atol=1e-12)
 
 
 # --- pava_blocks against the Python loop -----------------------------------
