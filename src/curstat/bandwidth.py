@@ -45,19 +45,10 @@ from .errors import (
     PilotDegenerate,
     ZeroCensoringDensity,
 )
-from .estimators import (
-    fit_msle,
-    msle_F,
-    msle_f,
-    msle_lambda,
-    smle_F,
-    smle_f,
-    smle_lambda,
-)
+from .estimators import _EVAL, _MSLE_EVAL, _SMLE_EVAL, _Fits, smle_F  # noqa: F401
 from .kernels import Kernel
-from .mle import ObservedSample, StepDistribution, build_sample, fit_mle
-from .smoothing import SmoothedMeasures, fit_smoothed
-from .sim import TruthSpec
+from .mle import ObservedSample, build_sample, fit_mle
+from .sim import TruthSpec, _draw
 
 __all__ = [
     "rate_exponent",
@@ -75,6 +66,10 @@ __all__ = [
 
 _TARGETS = ("F", "f", "lambda")
 _METHODS = ("MS", "SM")
+# the estimator family each method tunes; the two families' tables
+# _MSLE_EVAL and _SMLE_EVAL are bound here as well, the same dicts as in
+# curstat.estimators
+_FAMILY = {"MS": "msle", "SM": "smle"}
 
 # the pilot bandwidth always uses the distribution rate; replicate
 # fits use the target's own rate
@@ -327,33 +322,56 @@ def _tabulated_inverse(grid: np.ndarray, tab: np.ndarray, what: str) -> Callable
         raise PilotDegenerate(f"pilot {what} has no strictly increasing region")
     total = float(tab[-1])
 
-    def draw(u: np.ndarray) -> np.ndarray:
-        return np.interp(u * total, xs, ys)
+    def draw(rng: np.random.Generator, n: int) -> np.ndarray:
+        return np.interp(rng.random(n) * total, xs, ys)
 
     return draw
 
 
-_MSLE_EVAL = {"F": msle_F, "f": msle_f, "lambda": msle_lambda}
-_SMLE_EVAL = {"F": smle_F, "f": smle_f, "lambda": smle_lambda}
+def _true_value(truth: TruthSpec, target: str, t: float) -> float:
+    """The target's value at ``t`` under the truth."""
+    F0 = float(truth.F0(t))
+    if target == "F":
+        return F0
+    if target == "f":
+        return float(truth.f0(t))
+    if F0 >= 1.0 - 1e-12:
+        raise HazardDenominatorViolation(f"F0(t)=1 at t={t:.6g}; hazard undefined")
+    return float(truth.f0(t)) / (1.0 - F0)
 
 
-def _point_estimate(
+def _replicate(
+    sample_x: Callable,
+    sample_t: Callable,
+    n: int,
+    family: str,
     target: str,
-    method: str,
-    sample: ObservedSample,
     kernel: Kernel,
-    h: float,
+    hs: list,
     t: float,
-    mle: StepDistribution | None = None,
-    sm: SmoothedMeasures | None = None,
-) -> float:
-    if method == "SM":
-        if mle is None:
+) -> Callable:
+    """The replicate body of the selectors and of ``simulate``.
+
+    It draws ``n`` pairs through :func:`curstat.sim._draw`, builds the
+    sample, and returns ``family``'s ``target`` estimate at ``t`` for each
+    bandwidth in ``hs``.  The evaluator is looked up in its table once per
+    replicate; the MLE is fitted once, the smoothed measures and hull once
+    per bandwidth.
+    """
+
+    def body(i: int, rng: np.random.Generator) -> np.ndarray:
+        times, deltas = _draw(sample_x, sample_t, n, rng)
+        sample = build_sample(np.column_stack([times, deltas]))
+        evaluate = _EVAL[family][target]
+        if family == "smle":
+            # h enters the call only: no fit or object per bandwidth
             mle = fit_mle(sample)
-        return float(_SMLE_EVAL[target](mle, kernel, h, t))
-    if sm is None:
-        sm = fit_smoothed(sample, kernel, h)
-    return float(_MSLE_EVAL[target](fit_msle(sm), t))
+            return np.array([evaluate(mle, kernel, h, t) for h in hs], dtype=float)
+        return np.array(
+            [evaluate(*_Fits(sample, kernel, h).args(family), t) for h in hs], dtype=float
+        )
+
+    return body
 
 
 def _refine_minimizer(c_grid: np.ndarray, mse: np.ndarray) -> tuple[float, bool]:
@@ -404,38 +422,22 @@ def bootstrap_bandwidth(
     c_grid = config.resolved_grid()
     alpha = rate_exponent(target)
     h0 = config.c0 * n ** (-_PILOT_ALPHA)
+    family = _FAMILY[method]
 
-    pilot_sm = fit_smoothed(sample, kernel, h0)
-    pilot_mle = fit_mle(sample)
-    pilot_value = _point_estimate(
-        target, method, sample, kernel, h0, config.t, mle=pilot_mle, sm=pilot_sm
-    )
+    pilot = _Fits(sample, kernel, h0)
+    grid = pilot.sm.grid
+    pilot_value = float(_EVAL[family][target](*pilot.args(family), config.t))
 
     # tabulate the smoothed MLE distribution for inversion
-    grid = pilot_sm.grid
-    F_tab = np.asarray(smle_F(pilot_mle, kernel, h0, grid))
+    F_tab = np.asarray(smle_F(pilot.mle, kernel, h0, grid))
     draw_x = _tabulated_inverse(grid, F_tab, "event distribution")
-    draw_t = _tabulated_inverse(grid, pilot_sm.G, "inspection distribution")
+    draw_t = _tabulated_inverse(grid, pilot.sm.G, "inspection distribution")
 
     m = config.m
-    t_eval = config.t
-    hs = c_grid * m ** (-alpha)
-
-    def one(i: int, rng: np.random.Generator) -> np.ndarray:
-        x_star = draw_x(rng.random(m))
-        t_star = draw_t(rng.random(m))
-        d_star = (x_star <= t_star).astype(float)
-        bs = build_sample(np.column_stack([t_star, d_star]))
-        mle_b = fit_mle(bs) if method == "SM" else None
-        vals = np.empty(hs.size)
-        for k, h in enumerate(hs):
-            vals[k] = _point_estimate(
-                target, method, bs, kernel, float(h), t_eval, mle=mle_b
-            )
-        return (vals - pilot_value) ** 2
-
-    rows = replicate_map(one, config.B, config.seed)
-    mse = np.mean(np.stack(rows, axis=0), axis=0)
+    hs = [float(h) for h in c_grid * m ** (-alpha)]
+    body = _replicate(draw_x, draw_t, m, family, target, kernel, hs, config.t)
+    rows = replicate_map(body, config.B, config.seed)
+    mse = np.mean((np.stack(rows, axis=0) - pilot_value) ** 2, axis=0)
     c_hat, at_edge = _refine_minimizer(c_grid, mse)
     return BootstrapSelection(
         c_hat=c_hat,
@@ -485,35 +487,14 @@ def mc_bandwidth(
         raise InputError("all bandwidth constants must be positive")
 
     alpha = rate_exponent(target)
-    F0_t = float(truth.F0(t))
-    if target == "F":
-        theta0 = F0_t
-    elif target == "f":
-        theta0 = float(truth.f0(t))
-    else:
-        if F0_t >= 1.0 - 1e-12:
-            raise HazardDenominatorViolation(
-                f"F0(t)=1 at t={t:.6g}; hazard undefined"
-            )
-        theta0 = float(truth.f0(t)) / (1.0 - F0_t)
+    theta0 = _true_value(truth, target, t)
 
-    hs = c_grid * sample_size ** (-alpha)
-
-    def one(i: int, rng: np.random.Generator) -> np.ndarray:
-        x = truth.sample_x(rng, sample_size)
-        tt = truth.sample_t(rng, sample_size)
-        d = (x <= tt).astype(float)
-        bs = build_sample(np.column_stack([tt, d]))
-        mle_b = fit_mle(bs) if method == "SM" else None
-        vals = np.empty(hs.size)
-        for k, h in enumerate(hs):
-            vals[k] = _point_estimate(
-                target, method, bs, kernel, float(h), t, mle=mle_b
-            )
-        return (vals - theta0) ** 2
-
-    rows = replicate_map(one, B, seed)
-    mse = np.mean(np.stack(rows, axis=0), axis=0)
+    hs = [float(h) for h in c_grid * sample_size ** (-alpha)]
+    body = _replicate(
+        truth.sample_x, truth.sample_t, sample_size, _FAMILY[method], target, kernel, hs, t
+    )
+    rows = replicate_map(body, B, seed)
+    mse = np.mean((np.stack(rows, axis=0) - theta0) ** 2, axis=0)
     c_tilde, at_edge = _refine_minimizer(c_grid, mse)
     return MonteCarloSelection(
         c_tilde=c_tilde,

@@ -23,30 +23,19 @@ import numpy as np
 
 from .bandwidth import (
     BootstrapConfig,
+    _replicate,
+    _true_value,
     amse_optimal_c,
     bootstrap_bandwidth,
     mc_bandwidth,
     rate_exponent,
 )
 from .errors import DomainError, InputError
-from .estimators import (
-    F_CEILING,
-    G_FLOOR,
-    fit_msle,
-    msle_F,
-    msle_f,
-    msle_lambda,
-    naive_F,
-    naive_f,
-    naive_lambda,
-    smle_F,
-    smle_f,
-    smle_lambda,
-)
+from .estimators import _Fits, _guarded, _guards
 from .kernels import triweight
 from .mle import build_sample, fit_mle
 from .sim import sample_current_status, truth_gamma4_exp3
-from .smoothing import _MAX_GRID_NODES, fit_smoothed
+from .smoothing import _MAX_GRID_NODES
 from ._threads import replicate_map
 
 _METHODS = ("mle", "naive", "msle", "smle")
@@ -242,7 +231,9 @@ def _warn_if_at_edge(what: str, sel, c: float) -> None:
         )
 
 
-def _bootstrap_flags(args, what: str) -> None:
+def _bootstrap_config(args, what: str) -> BootstrapConfig:
+    """The selector's configuration from ``--t --m --B --c0 --seed`` and
+    the c-grid flags; ``what`` names the caller when a flag is missing."""
     missing = [
         flag
         for flag, value in (("--t", args.t), ("--m", args.m), ("--B", args.B), ("--c0", args.c0))
@@ -250,6 +241,25 @@ def _bootstrap_flags(args, what: str) -> None:
     ]
     if missing:
         raise InputError(f"{what} needs {', '.join(missing)}")
+    return BootstrapConfig(
+        m=args.m,
+        B=args.B,
+        c0=args.c0,
+        t=args.t,
+        seed=args.seed,
+        c_grid=_explicit_c_grid(args),
+    )
+
+
+def _explicit_h(args, target: str, n: int) -> float | None:
+    """h from ``--h``, or ``c n^-alpha`` from ``--c [--alpha]``; None when
+    neither flag is given."""
+    if args.h is not None:
+        return float(args.h)
+    if args.c is None:
+        return None
+    alpha = args.alpha if args.alpha is not None else rate_exponent(target)
+    return float(args.c) * n ** (-float(alpha))
 
 
 # ---------------------------------------------------------------------------
@@ -258,26 +268,15 @@ def _bootstrap_flags(args, what: str) -> None:
 
 def _resolve_h(args, method: str, target: str, sample, kernel, cache: dict) -> tuple[float, list[str]]:
     """Bandwidth for one requested column, plus echo lines."""
-    if args.h is not None:
-        return float(args.h), []
-    if args.c is not None:
-        alpha = args.alpha if args.alpha is not None else rate_exponent(target)
-        h = float(args.c) * sample.n ** (-float(alpha))
+    h = _explicit_h(args, target, sample.n)
+    if h is not None:
         return h, []
     # bootstrap selection; naive shares the msle asymptotics
     order = "SM" if method == "smle" else "MS"
     key = (order, target)
     if key in cache:
         return cache[key], []
-    _bootstrap_flags(args, "--select-bootstrap")
-    cfg = BootstrapConfig(
-        m=args.m,
-        B=args.B,
-        c0=args.c0,
-        t=args.t,
-        seed=args.seed,
-        c_grid=_explicit_c_grid(args),
-    )
+    cfg = _bootstrap_config(args, "--select-bootstrap")
     sel = bootstrap_bandwidth(sample, cfg, target, order, kernel)
     cache[key] = sel.h_hat
     note = (
@@ -285,97 +284,6 @@ def _resolve_h(args, method: str, target: str, sample, kernel, cache: dict) -> t
         f"(seed = {args.seed})"
     )
     return sel.h_hat, [note]
-
-
-def _column_eval(method: str, target: str, grid: np.ndarray, ctx: dict):
-    """Evaluate one column with its guards.
-
-    Returns the values (nan where a guard would trip) and a list of
-    violation messages naming the floor or ceiling involved.
-    """
-    name = f"{method}_{target}"
-    vals = np.full(grid.shape, np.nan)
-    violations = []
-    if method == "mle":
-        return np.asarray(ctx["mle"].cdf(grid)), violations
-    if method == "naive":
-        sm = ctx["sm"]
-        mask = np.asarray(sm.eval("g", grid)) > G_FLOOR
-        if target == "lambda":
-            ok = mask.copy()
-            if np.any(mask):
-                F = np.asarray(naive_F(sm, grid[mask]))
-                ok[mask] = (1.0 - F) > F_CEILING
-                ceil_hit = mask & ~ok
-                if np.any(ceil_hit):
-                    violations.append(
-                        f"{name}: 1 - F is at or below the hazard ceiling {F_CEILING:g} "
-                        f"from t = {_fmt(grid[ceil_hit][0])}; cells written as nan"
-                    )
-            fn, mask_final = naive_lambda, ok
-        else:
-            fn, mask_final = {"F": naive_F, "f": naive_f}[target], mask
-        if not np.all(mask):
-            violations.insert(
-                0,
-                f"{name}: smoothed density is at or below the floor {G_FLOOR:g} "
-                f"at t = {_fmt(grid[~mask][0])}; cells written as nan",
-            )
-        if np.any(mask_final):
-            vals[mask_final] = np.asarray(fn(sm, grid[mask_final]))
-        return vals, violations
-    if method == "msle":
-        fit = ctx["fit"]
-        if target == "F":
-            return np.asarray(msle_F(fit, grid)), violations
-        if target == "f":
-            return np.asarray(msle_f(fit, grid)), violations
-        F = np.asarray(msle_F(fit, grid))
-        mask = (1.0 - F) > F_CEILING
-        if np.any(mask):
-            vals[mask] = np.asarray(msle_lambda(fit, grid[mask]))
-        if not np.all(mask):
-            violations.append(
-                f"{name}: 1 - F is at or below the hazard ceiling {F_CEILING:g} "
-                f"from t = {_fmt(grid[~mask][0])}; cells written as nan"
-            )
-        return vals, violations
-    # smle
-    mle, kernel, h = ctx["mle"], ctx["kernel"], ctx["h"]
-    if target == "F":
-        return np.asarray(smle_F(mle, kernel, h, grid)), violations
-    if target == "f":
-        return np.asarray(smle_f(mle, kernel, h, grid)), violations
-    F = np.asarray(smle_F(mle, kernel, h, grid))
-    mask = (1.0 - F) > F_CEILING
-    if np.any(mask):
-        vals[mask] = np.asarray(smle_lambda(mle, kernel, h, grid[mask]))
-    if not np.all(mask):
-        violations.append(
-            f"{name}: 1 - F is at or below the hazard ceiling {F_CEILING:g} "
-            f"from t = {_fmt(grid[~mask][0])}; cells written as nan"
-        )
-    return vals, violations
-
-
-def _safe_mask(method: str, target: str, grid: np.ndarray, ctx: dict) -> np.ndarray:
-    """Where the column's guards hold; total columns are safe everywhere."""
-    if method == "naive":
-        sm = ctx["sm"]
-        mask = np.asarray(sm.eval("g", grid)) > G_FLOOR
-        if target == "lambda" and np.any(mask):
-            F = np.asarray(naive_F(sm, grid[mask]))
-            sub = mask.copy()
-            sub[mask] = (1.0 - F) > F_CEILING
-            return sub
-        return mask
-    if target == "lambda":
-        if method == "msle":
-            F = np.asarray(msle_F(ctx["fit"], grid))
-        else:
-            F = np.asarray(smle_F(ctx["mle"], ctx["kernel"], ctx["h"], grid))
-        return (1.0 - F) > F_CEILING
-    return np.ones(grid.shape, dtype=bool)
 
 
 def cmd_estimate(args) -> int:
@@ -412,36 +320,29 @@ def cmd_estimate(args) -> int:
             f"--grid-points must be in [2, {_MAX_GRID_NODES}], got {args.grid_points}"
         )
 
-    # one fit context per distinct bandwidth
     notes = []
-    contexts = {}
     col_h = {}
     selection_cache = {}
     for method, target in smoothing_cols:
         h, extra = _resolve_h(args, method, target, sample, kernel, selection_cache)
         notes.extend(extra)
         col_h[(method, target)] = h
-        if h not in contexts:
-            contexts[h] = {"kernel": kernel, "h": h}
+    # one set of fits per distinct bandwidth, the mle column's under None
     mle = fit_mle(sample)
-    for h, ctx in contexts.items():
-        ctx["mle"] = mle
-        needs_sm = any(
-            m in ("naive", "msle") and col_h[(m, t)] == h for m, t in smoothing_cols
-        )
-        if needs_sm:
-            ctx["sm"] = fit_smoothed(sample, kernel, h)
-        if any(m == "msle" and col_h[(m, t)] == h for m, t in smoothing_cols):
-            ctx["fit"] = fit_msle(ctx["sm"])
+    fits = {None: _Fits(sample, kernel, None, mle)}
+    for method, target in smoothing_cols:
+        h = col_h[(method, target)]
+        if h not in fits:
+            fits[h] = _Fits(sample, kernel, h, mle)
+        # fit now, so that an error of a fit comes before any column's
+        fits[h].args(method)
 
     h_max = max(col_h.values(), default=0.0)
     t_max = float(sample.times[-1])
     grid = np.linspace(0.0, t_max + h_max, args.grid_points)
 
-    def ctx_for(method, target):
-        if method == "mle":
-            return {"mle": mle}
-        return contexts[col_h[(method, target)]]
+    def fits_for(method, target):
+        return fits[col_h.get((method, target))]
 
     # ratio-based columns cannot reach the grid end, where the smoothed
     # density is identically zero; trim the shared grid to the last node
@@ -452,7 +353,7 @@ def cmd_estimate(args) -> int:
     if ratio_cols:
         combined = np.ones(grid.shape, dtype=bool)
         for method, target in ratio_cols:
-            combined &= _safe_mask(method, target, grid, ctx_for(method, target))
+            combined &= _guards(method, target, fits_for(method, target), grid)[0]
         safe_idx = np.flatnonzero(combined)
         if safe_idx.size == 0:
             raise DomainError(
@@ -465,7 +366,7 @@ def cmd_estimate(args) -> int:
     header = ["t"]
     violations = []
     for method, target in columns:
-        vals, viols = _column_eval(method, target, grid, ctx_for(method, target))
+        vals, viols = _guarded(method, target, fits_for(method, target), grid)
         table.append(vals)
         header.append(f"{method}_{target}")
         violations.extend(viols)
@@ -494,15 +395,7 @@ def cmd_estimate(args) -> int:
 def cmd_bandwidth(args) -> int:
     kernel = _kernel(args.kernel)
     sample = build_sample(read_observations(args.input))
-    _bootstrap_flags(args, "the bandwidth command")
-    cfg = BootstrapConfig(
-        m=args.m,
-        B=args.B,
-        c0=args.c0,
-        t=args.t,
-        seed=args.seed,
-        c_grid=_explicit_c_grid(args),
-    )
+    cfg = _bootstrap_config(args, "the bandwidth command")
     sel = bootstrap_bandwidth(
         sample, cfg, args.target, _order_method(args.method), kernel
     )
@@ -539,16 +432,6 @@ def _truth(name: str):
     return truth_gamma4_exp3()
 
 
-def _true_value(truth, target: str, t: float) -> float:
-    F0 = float(truth.F0(t))
-    if target == "F":
-        return F0
-    f0 = float(truth.f0(t))
-    if target == "f":
-        return f0
-    return f0 / (1.0 - F0)
-
-
 def cmd_simulate(args) -> int:
     truth = _truth(args.truth)
     kernel = _kernel(args.kernel)
@@ -558,40 +441,18 @@ def cmd_simulate(args) -> int:
         raise InputError("--n and --B must be >= 1")
     target = args.target
     method = args.method
-    if "," in target or "," in method:
-        raise InputError("simulate takes a single method and target")
     if method == "mle" and target != "F":
         raise InputError("the mle method only provides the distribution")
 
-    if method == "mle":
-        h = None
-    elif args.h is not None:
-        h = float(args.h)
-    elif args.c is not None:
-        alpha = args.alpha if args.alpha is not None else rate_exponent(target)
-        h = float(args.c) * args.n ** (-float(alpha))
-    else:
+    h = None if method == "mle" else _explicit_h(args, target, args.n)
+    if method != "mle" and h is None:
         raise InputError("simulate needs --h or --c for smoothing methods")
 
     t_eval = float(args.t)
-
-    def one(i: int, rng: np.random.Generator) -> float:
-        sample = sample_current_status(truth, args.n, rng).sample
-        if method == "mle":
-            return float(fit_mle(sample).cdf(t_eval))
-        if method == "smle":
-            mle = fit_mle(sample)
-            fn = {"F": smle_F, "f": smle_f, "lambda": smle_lambda}[target]
-            return float(fn(mle, kernel, h, t_eval))
-        sm = fit_smoothed(sample, kernel, h)
-        if method == "naive":
-            fn = {"F": naive_F, "f": naive_f, "lambda": naive_lambda}[target]
-            return float(fn(sm, t_eval))
-        fit = fit_msle(sm)
-        fn = {"F": msle_F, "f": msle_f, "lambda": msle_lambda}[target]
-        return float(fn(fit, t_eval))
-
-    values = np.array(replicate_map(one, args.B, args.seed))
+    body = _replicate(
+        truth.sample_x, truth.sample_t, args.n, method, target, kernel, [h], t_eval
+    )
+    values = np.concatenate(replicate_map(body, args.B, args.seed))
     mean = float(np.mean(values))
     sd = float(np.std(values, ddof=1)) if args.B > 1 else 0.0
     theta0 = _true_value(truth, target, t_eval)

@@ -34,8 +34,8 @@ from .errors import (
     OutOfDomain,
 )
 from .kernels import Kernel, check_bandwidth
-from .mle import StepDistribution, pava_blocks
-from .smoothing import SmoothedMeasures
+from .mle import ObservedSample, StepDistribution, fit_mle, pava_blocks
+from .smoothing import SmoothedMeasures, fit_smoothed
 
 __all__ = [
     "G_FLOOR",
@@ -364,3 +364,87 @@ def smle_lambda(mle: StepDistribution, kernel: Kernel, h: float, t):
             f"smoothed F reaches {top:.9g}; hazard undefined that close to 1"
         )
     return smle_f(mle, kernel, h, t) / (1.0 - F)
+
+
+# ---------------------------------------------------------------------------
+# dispatch and guards
+
+# (family, target) -> evaluator, one flat table per family; callers look
+# an evaluator up when they run, so a wrapper put into a table is seen
+_MLE_EVAL = {"F": StepDistribution.cdf}
+_NAIVE_EVAL = {"F": naive_F, "f": naive_f, "lambda": naive_lambda}
+_MSLE_EVAL = {"F": msle_F, "f": msle_f, "lambda": msle_lambda}
+_SMLE_EVAL = {"F": smle_F, "f": smle_f, "lambda": smle_lambda}
+_EVAL = {"mle": _MLE_EVAL, "naive": _NAIVE_EVAL, "msle": _MSLE_EVAL, "smle": _SMLE_EVAL}
+
+
+class _Fits:
+    """One sample's fitted models at one bandwidth, each fitted on first
+    read; a given ``mle`` is shared with other bandwidths."""
+
+    def __init__(self, sample: ObservedSample, kernel: Kernel, h, mle=None):
+        self.sample = sample
+        self.kernel = kernel
+        self.h = h
+        if mle is not None:
+            self.mle = mle
+
+    @cached_property
+    def mle(self) -> StepDistribution:
+        return fit_mle(self.sample)
+
+    @cached_property
+    def sm(self) -> SmoothedMeasures:
+        return fit_smoothed(self.sample, self.kernel, self.h)
+
+    @cached_property
+    def hull(self) -> ConvexHullFit:
+        return fit_msle(self.sm)
+
+    def args(self, family: str) -> tuple:
+        """The arguments of ``family``'s evaluators before the points."""
+        if family == "smle":
+            return self.mle, self.kernel, self.h
+        return (getattr(self, {"mle": "mle", "naive": "sm", "msle": "hull"}[family]),)
+
+
+def _guards(family: str, target: str, fits: _Fits, t: np.ndarray):
+    """Where the guards of one column hold on the points ``t``, and one
+    message per guard that trips there, the floor's first.
+
+    A naive column needs the smoothed density above ``G_FLOOR``; a hazard
+    needs ``1 - F`` above ``F_CEILING`` wherever the floor holds.  Other
+    columns hold everywhere.
+    """
+    name = f"{family}_{target}"
+    safe = np.ones(t.shape, dtype=bool)
+    messages = []
+    if family == "naive":
+        safe = np.asarray(fits.sm.eval("g", t)) > G_FLOOR
+        if not np.all(safe):
+            messages.append(
+                f"{name}: smoothed density is at or below the floor {G_FLOOR:g} "
+                f"at t = {float(t[~safe][0]):.9g}; cells written as nan"
+            )
+    if target == "lambda" and np.any(safe):
+        ok = safe.copy()
+        F = np.asarray(_EVAL[family]["F"](*fits.args(family), t[safe]))
+        ok[safe] = (1.0 - F) > F_CEILING
+        hit = safe & ~ok
+        if np.any(hit):
+            messages.append(
+                f"{name}: 1 - F is at or below the hazard ceiling {F_CEILING:g} "
+                f"from t = {float(t[hit][0]):.9g}; cells written as nan"
+            )
+        safe = ok
+    return safe, messages
+
+
+def _guarded(family: str, target: str, fits: _Fits, t: np.ndarray):
+    """One column on the points ``t``: the values, nan where a guard of
+    :func:`_guards` trips, and the guards' messages."""
+    safe, messages = _guards(family, target, fits, t)
+    values = np.full(t.shape, np.nan)
+    if np.any(safe):
+        values[safe] = _EVAL[family][target](*fits.args(family), t[safe])
+    return values, messages

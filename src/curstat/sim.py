@@ -55,15 +55,12 @@ class GeneratedSample:
     """A simulated current status data set.
 
     ``raw_times``, ``raw_deltas`` are in draw order; ``sample`` is the
-    grouped form the estimators consume.  ``hidden_x`` holds the latent
-    event times when diagnostics were requested and is never read by
-    any estimator (it is unobservable in the model).
+    grouped form the estimators consume.
     """
 
     sample: ObservedSample
     raw_times: np.ndarray
     raw_deltas: np.ndarray
-    hidden_x: np.ndarray | None
     seed: int
 
 
@@ -150,26 +147,20 @@ def truth_gamma4_exp3() -> TruthSpec:
     )
 
 
-def sample_current_status(
-    truth: TruthSpec, n: int, seed, keep_hidden: bool = False
-) -> GeneratedSample:
-    """Draw a current status sample of size ``n``.
+def _draw(sample_x: Callable, sample_t: Callable, n: int, rng: np.random.Generator):
+    """``n`` inspection times and indicators: event times are drawn
+    first, inspection times second, from ``rng``; the indicator is their
+    comparison."""
+    x = sample_x(rng, n)
+    t = sample_t(rng, n)
+    return t, (x <= t).astype(float)
 
-    Event times are drawn first, inspection times second, from one
-    seeded generator; the indicator is their comparison.  The latent
-    event times are kept only when ``keep_hidden`` is set.
-    """
+
+def sample_current_status(truth: TruthSpec, n: int, seed) -> GeneratedSample:
+    """Draw a current status sample of size ``n`` from one generator
+    seeded by ``seed`` (see :func:`_draw`)."""
     if n < 1:
         raise InputError(f"sample size must be >= 1, got {n}")
-    rng = np.random.default_rng(seed)
-    x = truth.sample_x(rng, n)
-    t = truth.sample_t(rng, n)
-    deltas = (x <= t).astype(float)
+    t, deltas = _draw(truth.sample_x, truth.sample_t, n, np.random.default_rng(seed))
     sample = build_sample(np.column_stack([t, deltas]))
-    return GeneratedSample(
-        sample=sample,
-        raw_times=t,
-        raw_deltas=deltas,
-        hidden_x=x if keep_hidden else None,
-        seed=seed,
-    )
+    return GeneratedSample(sample=sample, raw_times=t, raw_deltas=deltas, seed=seed)

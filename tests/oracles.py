@@ -23,6 +23,12 @@ from curstat.errors import InputError, OutOfDomain
 from curstat.kernels import Kernel, boundary_family, check_bandwidth
 
 
+def hidden_x(truth, n: int, seed) -> np.ndarray:
+    """The latent event times of ``sample_current_status(truth, n, seed)``:
+    they are its generator's first draw."""
+    return truth.sample_x(np.random.default_rng(seed), n)
+
+
 def grid_mle_oracle(deltas, steps=400):
     """Maximize the current status log likelihood over monotone F on a grid.
 

@@ -327,6 +327,27 @@ def test_estimate_interior_hole_writes_nan_and_exits_3(tmp_path, capsys):
     assert finite
 
 
+def test_estimate_guard_messages_floor_then_ceiling(tmp_path, capsys):
+    # the naive pair's density vanishes before the first inspection and
+    # its F reaches 1 between the clusters; the monotone families keep
+    # 1 - F above the ceiling on the trimmed grid
+    times = [1.0, 1.1, 1.2, 3.0, 3.1, 3.2, 5.0, 5.1, 5.2, 6.0]
+    deltas = [0, 0, 0, 1, 1, 1, 0, 0, 0, 1]
+    inp = _write_csv(tmp_path / "guards.csv", times, deltas)
+    base = ["estimate", "--input", inp, "--target", "lambda", "--h", "0.5",
+            "--grid-points", "101", "--output", str(tmp_path / "out.csv")]
+    assert main(base + ["--method", "naive"]) == 3
+    assert capsys.readouterr().err == (
+        "domain error: naive_lambda: smoothed density is at or below the floor "
+        "1e-08 at t = 0; cells written as nan\n"
+        "domain error: naive_lambda: 1 - F is at or below the hazard ceiling "
+        "1e-06 from t = 2.535; cells written as nan\n"
+    )
+    for method in ("msle", "smle"):
+        assert main(base + ["--method", method]) == 0
+        assert capsys.readouterr().err == ""
+
+
 def test_estimate_flag_validation(tmp_path, capsys):
     inp = _write_csv(tmp_path / "toy.csv", [1.0, 2.0], [1, 0])
     base = ["estimate", "--input", inp, "--output", "-"]
@@ -517,6 +538,17 @@ def test_simulate_validation(capsys):
     assert main(["simulate", "--n", "50", "--B", "3", "--t", "4",
                  "--method", "mle", "--target", "f"]) == 2
     capsys.readouterr()
+
+
+def test_simulate_true_hazard_undefined_exits_3(capsys):
+    # one row with delta 0: the smle hazard of the replicate is 0 at any
+    # t, so only the true value F0(t) = 1 at t = 50 is out of the domain
+    argv = ["simulate", "--n", "1", "--B", "1", "--t", "50", "--h", "1",
+            "--method", "smle", "--target", "lambda", "--seed", "1"]
+    assert main(argv) == 3
+    assert capsys.readouterr().err == (
+        "domain error: F0(t)=1 at t=50; hazard undefined\n"
+    )
 
 
 def test_simulate_mle_needs_no_bandwidth(tmp_path):
