@@ -45,10 +45,11 @@ from .errors import (
     PilotDegenerate,
     ZeroCensoringDensity,
 )
-from .estimators import _EVAL, _MSLE_EVAL, _SMLE_EVAL, _Fits, smle_F  # noqa: F401
+from .estimators import _EVAL, _MSLE_EVAL, _SMLE_EVAL, _Fits, fit_msle, smle_F  # noqa: F401
 from .kernels import Kernel
 from .mle import ObservedSample, build_sample, fit_mle
 from .sim import TruthSpec, _draw
+from .smoothing import _fit_smoothed_many
 
 __all__ = [
     "rate_exponent",
@@ -355,21 +356,24 @@ def _replicate(
     It draws ``n`` pairs through :func:`curstat.sim._draw`, builds the
     sample, and returns ``family``'s ``target`` estimate at ``t`` for each
     bandwidth in ``hs``.  The evaluator is looked up in its table once per
-    replicate; the MLE is fitted once, the smoothed measures and hull once
-    per bandwidth.
+    replicate; the MLE is fitted once, the smoothed measures of all
+    bandwidths in chunks, and the hull once per bandwidth.
     """
 
     def body(i: int, rng: np.random.Generator) -> np.ndarray:
         times, deltas = _draw(sample_x, sample_t, n, rng)
         sample = build_sample(np.column_stack([times, deltas]))
         evaluate = _EVAL[family][target]
-        if family == "smle":
-            # h enters the call only: no fit or object per bandwidth
-            mle = fit_mle(sample)
-            return np.array([evaluate(mle, kernel, h, t) for h in hs], dtype=float)
-        return np.array(
-            [evaluate(*_Fits(sample, kernel, h).args(family), t) for h in hs], dtype=float
-        )
+        if family in ("naive", "msle"):
+            fits = _fit_smoothed_many(sample, kernel, hs)
+            if family == "msle":
+                fits = map(fit_msle, fits)
+            return np.array([evaluate(fit, t) for fit in fits], dtype=float)
+        # h enters the call only: no fit or object per bandwidth
+        mle = fit_mle(sample)
+        if family == "mle":
+            return np.array([evaluate(mle, t) for _ in hs], dtype=float)
+        return np.array([evaluate(mle, kernel, h, t) for h in hs], dtype=float)
 
     return body
 

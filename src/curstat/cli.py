@@ -328,7 +328,7 @@ def cmd_estimate(args) -> int:
         notes.extend(extra)
         col_h[(method, target)] = h
     # one set of fits per distinct bandwidth, the mle column's under None
-    mle = fit_mle(sample)
+    mle = fit_mle(sample) if any(m in ("mle", "smle") for m, _ in columns) else None
     fits = {None: _Fits(sample, kernel, None, mle)}
     for method, target in smoothing_cols:
         h = col_h[(method, target)]

@@ -31,6 +31,10 @@ the boundary segment the corrected weight depends on ``t`` through both
 the kernel argument and the shape parameter, so the derivative there is
 taken as a finite difference of the tabulated values (centered, forward
 at the origin node).
+
+Several bandwidths of one sample are tabulated in chunks: their moment
+segments share one buffer, ``2K`` zero cells apart, so one convolution
+per class and power serves them all.
 """
 
 from __future__ import annotations
@@ -54,11 +58,14 @@ _DEFAULT_CELLS_PER_BANDWIDTH = 32
 # otherwise the trapezoid antiderivatives and the finite-difference
 # boundary derivatives lose too much accuracy to be trusted.
 _MIN_CELLS_PER_BANDWIDTH = 16
-# A fit peaks at and keeps about 160 bytes per node (the grid, g0, g1, g
-# and the binned moments), 210 once its derivatives and antiderivatives
-# are read, so the ceiling bounds one fit near 220 MB; a bandwidth that
-# needs more nodes is rejected as input.
+# A fit keeps about 160 bytes per node (the grid, g0, g1, g and the
+# binned moments), 210 once its derivatives and antiderivatives are read,
+# and peaks near 290 as a chunk of its own, so the ceiling bounds one fit
+# near 300 MB; a bandwidth that needs more nodes is rejected as input.
 _MAX_GRID_NODES = 2**20
+# Bandwidths share a chunk while its observations x bandwidths and its
+# moment cells stay within this budget, so its buffers stay near 2 MB.
+_CHUNK_BUDGET = 8192
 
 _CURVES = ("g0", "g1", "g", "dg0", "dg1", "dg", "G0", "G1", "G")
 
@@ -182,12 +189,12 @@ class SmoothedMeasures:
         return out
 
 
-def _resolve_grid(span: float, h: float, grid_spec) -> tuple[np.ndarray, int]:
-    """The uniform grid ``i * h / K`` covering ``[0, span]``, and ``K``.
-
-    ``grid_spec`` is None (``K = 32`` cells per bandwidth) or an integer
-    ``K >= 16``.  The node count is checked before anything is allocated.
-    """
+def _check_bandwidth(span: float, h, grid_spec) -> tuple[float, int, int]:
+    """``(h, nodes, K)`` of the grid ``i * h / K`` over ``[0, span + h]``,
+    checked before anything is allocated: ``h > 0``, and ``grid_spec`` is
+    None (``K = 32`` cells per bandwidth) or an integer ``K >= 16``."""
+    if not (np.isfinite(h) and h > 0.0):
+        raise NonpositiveBandwidth(f"bandwidth must be positive, got {h!r}")
     if grid_spec is None:
         cells = _DEFAULT_CELLS_PER_BANDWIDTH
     elif isinstance(grid_spec, (int, np.integer)):
@@ -201,14 +208,14 @@ def _resolve_grid(span: float, h: float, grid_spec) -> tuple[np.ndarray, int]:
         raise GridTooCoarse(
             f"{cells} grid cells per bandwidth, fewer than {_MIN_CELLS_PER_BANDWIDTH}"
         )
-    delta = h / cells
-    nodes = np.ceil(span / delta - 1e-9) + 1.0
+    h = float(h)
+    nodes = np.ceil((span + h) / (h / cells) - 1e-9) + 1.0
     if not nodes <= _MAX_GRID_NODES:
         raise InputError(
-            f"bandwidth {h:.6g} over [0, {span:.6g}] needs {nodes:.3g} grid nodes,"
+            f"bandwidth {h:.6g} over [0, {span + h:.6g}] needs {nodes:.3g} grid nodes,"
             f" more than the ceiling {_MAX_GRID_NODES}"
         )
-    return np.arange(int(nodes)) * delta, cells
+    return h, int(nodes), cells
 
 
 def _offset_table(coefficients: np.ndarray, cells: int) -> np.ndarray:
@@ -262,35 +269,38 @@ def _bin_tables(kernel: Kernel, cells: int) -> _BinTables:
 
 
 def _binned_moments(
-    times: np.ndarray, weights: np.ndarray, delta: float, powers: int
-) -> np.ndarray:
-    """``S[c, p, l]``: the sum of ``weights[j, c] * r_j^p`` over the
-    observations ``T_j = (l + r_j) * delta`` with ``0 <= r_j < 1``.
+    times: np.ndarray, weights: np.ndarray, deltas, powers: int, gap: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """``S[c, p, :]`` for each spacing in ``deltas``: segments one after
+    another, ``gap`` zero cells apart, and their starts.
 
-    The powers ``r^p`` are built by repeated multiplication into one
-    ``(powers, n)`` buffer, and each indicator class is weighted into a
-    second such buffer and summed cell by cell on its own, so no
-    ``(n, classes, powers)`` product is formed.  These are the products
-    and sums ``np.vander`` and one ``reduceat`` over all classes would
-    take, so the moments are the same bits.
+    Cell ``s + l`` of the segment at ``s`` sums ``weights[j, c] * r_j^p``
+    over ``T_j = (l + r_j) * delta`` with ``0 <= r_j < 1``.  The powers are
+    built by repeated multiplication into one ``(powers, spacings, n)``
+    buffer, and each class is weighted into a second and summed cell by
+    cell on its own: the products and sums ``np.vander`` and one
+    ``reduceat`` would take for each spacing alone, so the same bits.
     """
-    x = times / delta
+    x = times / np.asarray(deltas, dtype=float)[:, None]
     cell = np.floor(x)
-    r_powers = np.empty((powers, x.size))
+    r_powers = np.empty((powers,) + x.shape)
     r_powers[0] = 1.0
     if powers > 1:
         np.subtract(x, cell, out=r_powers[1])
     for p in range(2, powers):
         np.multiply(r_powers[p - 1], r_powers[1], out=r_powers[p])
     cell = cell.astype(np.int64)
+    steps = cell[:, -1] + 1 + gap
+    bases = np.cumsum(steps) - steps
+    cell = (cell + bases[:, None]).ravel()
     # times are sorted, so the observations of a cell are contiguous
     starts = np.flatnonzero(np.diff(cell, prepend=-1))
     moments = np.zeros((weights.shape[1], powers, cell[-1] + 1))
     terms = np.empty_like(r_powers)
     for c in range(weights.shape[1]):
         np.multiply(weights[:, c], r_powers, out=terms)
-        moments[c][:, cell[starts]] = np.add.reduceat(terms, starts, axis=1)
-    return moments
+        moments[c][:, cell[starts]] = np.add.reduceat(terms.reshape(powers, -1), starts, axis=1)
+    return moments, bases
 
 
 def _node_sums(moments: np.ndarray, table: np.ndarray, count: int) -> np.ndarray:
@@ -340,39 +350,65 @@ def fit_smoothed(
         If ``grid_spec`` is not an integer, or the grid would have more
         than ``2**20`` nodes.
     """
-    if not (np.isfinite(h) and h > 0.0):
-        raise NonpositiveBandwidth(f"bandwidth must be positive, got {h!r}")
-    h = float(h)
-    times = sample.times
-    grid, cells = _resolve_grid(float(times[-1]) + h, h, grid_spec)
-    delta = h / cells
+    return next(_fit_smoothed_many(sample, kernel, [h], grid_spec))
+
+
+def _fit_smoothed_many(sample: ObservedSample, kernel: Kernel, hs, grid_spec=None):
+    """:func:`fit_smoothed` at each bandwidth of ``hs``, yielded in order,
+    in chunks within ``_CHUNK_BUDGET`` observations x bandwidths and moment
+    cells, or of one bandwidth.  A bad bandwidth raises its error before
+    its chunk allocates anything, once the fits before it are yielded."""
+    span = float(sample.times[-1])
+    chunk, used = [], 0
+    for h in hs:
+        try:
+            h, nodes, cells = _check_bandwidth(span, h, grid_spec)
+        except InputError:
+            yield from _fit_chunk(sample, kernel, chunk)
+            raise
+        # the moment cells of the bandwidth's segment and its gap
+        cost = int(span / (h / cells)) + 1 + 2 * cells
+        if chunk and max(used + cost, (len(chunk) + 1) * sample.times.size) > _CHUNK_BUDGET:
+            yield from _fit_chunk(sample, kernel, chunk)
+            chunk, used = [], 0
+        chunk.append((h, nodes, cells))
+        used += cost
+    yield from _fit_chunk(sample, kernel, chunk)
+
+
+def _fit_chunk(sample: ObservedSample, kernel: Kernel, chunk: list):
+    """The fits of a chunk of ``(h, nodes, K)``, one segment of the
+    moments each; a fit keeps its segment, copied out of a shared buffer,
+    so no chunk buffer outlives the chunk."""
+    if not chunk:
+        return
+    cells = chunk[0][2]
     tables = _bin_tables(kernel, cells)
-
-    n = sample.n
+    powers = tables.boundary.shape[1]
     weights = np.column_stack([sample.counts - sample.ones, sample.ones]).astype(float)
-    moments = _binned_moments(times, weights, delta, tables.boundary.shape[1])
-    # Nodes t = i * delta < h, i.e. i < K, use the corrected kernel; the
-    # observations they reach all lie in the first 2K cells.
-    near = moments[:, :, : 2 * cells]
-    corrected = np.tensordot(near, tables.boundary[:, :, : near.shape[2]], axes=([1, 2], [1, 2]))
-    dens = []
-    for m, g_near in zip(moments, corrected):
-        g = _node_sums(m, tables.k, grid.size)
-        # the plain kernel is nonnegative; a vanishing sum may round below 0
-        np.maximum(g, 0.0, out=g)
-        g[:cells] = g_near
-        g /= n * h
-        dens.append(g)
-    g0, g1 = dens
-
-    return SmoothedMeasures(
-        sample=sample,
-        kernel=kernel,
-        h=h,
-        cells=cells,
-        grid=grid,
-        g0=g0,
-        g1=g1,
-        g=g0 + g1,
-        moments=moments,
-    )
+    deltas = [h / cells for h, _, _ in chunk]
+    moments, bases = _binned_moments(sample.times, weights, deltas, powers, 2 * cells)
+    sizes = np.diff(bases, append=moments.shape[2] + 2 * cells) - 2 * cells
+    sums = np.stack([_node_sums(m, tables.k, moments.shape[2] + 2 * cells) for m in moments])
+    # the plain kernel is nonnegative; a vanishing sum may round below 0
+    np.maximum(sums, 0.0, out=sums)
+    # Nodes i < K (t < h) use the corrected kernel, which reaches the first
+    # 2K cells; each segment that long takes tensordot's gemm, stacked.
+    full = np.flatnonzero(sizes >= 2 * cells)
+    near = moments[:, :, bases[full, None] + np.arange(2 * cells)]
+    near = near.transpose(2, 0, 1, 3).reshape(full.size, len(moments), powers * 2 * cells)
+    corrected = np.empty((len(chunk), len(moments), cells))
+    corrected[full] = near @ tables.boundary.transpose(1, 2, 0).reshape(-1, cells)
+    for (h, nodes, _), base, size, g_near in zip(chunk, bases, sizes, corrected):
+        own = moments[:, :, base : base + size]
+        own = own.copy() if len(chunk) > 1 else own
+        dens = sums[:, base : base + nodes]
+        if size < 2 * cells:
+            # shorter than the table: numpy convolves it with the operands
+            # swapped, so it takes a convolution of its own to keep the bits
+            g_near = np.tensordot(own, tables.boundary[:, :, :size], axes=([1, 2], [1, 2]))
+            dens = np.maximum([_node_sums(m, tables.k, nodes) for m in own], 0.0)
+        g0, g1 = dens / (sample.n * h)
+        g0[:cells], g1[:cells] = g_near / (sample.n * h)
+        grid = np.arange(nodes) * (h / cells)
+        yield SmoothedMeasures(sample, kernel, h, cells, grid, g0, g1, g0 + g1, own)

@@ -7,9 +7,11 @@ arithmetic, pool adjacent violators and a per-line CSV reader as Python
 loops) without touching the library's own algorithms, so the two
 routes stay independent.  The rescaled kernel, the corrected boundary
 kernel ``k_beta`` and the ``np.vander`` binned moments are the
-library's earlier direct routes to the same quantities.  The one borrowing is the closed-form boundary
-moments ``nu`` in :func:`direct_smoothed`, which are checked against
-:func:`nu_moment` on their own.
+library's earlier direct routes to the same quantities, and
+:func:`fit_smoothed_per_h` is its earlier one-bandwidth smoothing, on the
+library's own coefficient tables.  The other borrowing is the
+closed-form boundary moments ``nu`` in :func:`direct_smoothed`, which are
+checked against :func:`nu_moment` on their own.
 """
 
 from __future__ import annotations
@@ -19,7 +21,8 @@ from pathlib import Path
 
 import numpy as np
 
-from curstat.errors import InputError, OutOfDomain
+from curstat import smoothing
+from curstat.errors import GridTooCoarse, InputError, NonpositiveBandwidth, OutOfDomain
 from curstat.kernels import Kernel, boundary_family, check_bandwidth
 
 
@@ -168,6 +171,59 @@ def binned_moments_vander(times, weights, delta, powers):
     moments = np.zeros((weights.shape[1], powers, cell[-1] + 1))
     moments[:, :, cell[starts]] = np.add.reduceat(terms, starts, axis=0).transpose(1, 2, 0)
     return moments
+
+
+def fit_smoothed_per_h(sample, kernel, h, grid_spec=None):
+    """``fit_smoothed`` as one bandwidth's own fit: the library's earlier
+    route, with the :func:`binned_moments_vander` moments of that
+    bandwidth alone, one convolution per power over them, and one
+    ``np.tensordot`` for the boundary nodes."""
+    if not (np.isfinite(h) and h > 0.0):
+        raise NonpositiveBandwidth(f"bandwidth must be positive, got {h!r}")
+    h = float(h)
+    if grid_spec is None:
+        cells = smoothing._DEFAULT_CELLS_PER_BANDWIDTH
+    elif isinstance(grid_spec, (int, np.integer)):
+        cells = int(grid_spec)
+    else:
+        raise InputError(
+            "grid_spec must be None or an integer number of cells per bandwidth,"
+            f" got {grid_spec!r}"
+        )
+    if cells < smoothing._MIN_CELLS_PER_BANDWIDTH:
+        raise GridTooCoarse(
+            f"{cells} grid cells per bandwidth, fewer than {smoothing._MIN_CELLS_PER_BANDWIDTH}"
+        )
+    span = float(sample.times[-1]) + h
+    delta = h / cells
+    nodes = np.ceil(span / delta - 1e-9) + 1.0
+    if not nodes <= smoothing._MAX_GRID_NODES:
+        raise InputError(
+            f"bandwidth {h:.6g} over [0, {span:.6g}] needs {nodes:.3g} grid nodes,"
+            f" more than the ceiling {smoothing._MAX_GRID_NODES}"
+        )
+    grid = np.arange(int(nodes)) * delta
+    tables = smoothing._bin_tables(kernel, cells)
+    n = sample.n
+    weights = np.column_stack([sample.counts - sample.ones, sample.ones]).astype(float)
+    moments = binned_moments_vander(sample.times, weights, delta, tables.boundary.shape[1])
+    near = moments[:, :, : 2 * cells]
+    corrected = np.tensordot(near, tables.boundary[:, :, : near.shape[2]], axes=([1, 2], [1, 2]))
+    dens = []
+    for m, g_near in zip(moments, corrected):
+        full = sum(np.convolve(m[p], tables.k[p]) for p in range(tables.k.shape[0]))
+        g = np.zeros(grid.size)
+        vals = full[cells - 1 : cells - 1 + grid.size]
+        g[: vals.size] = vals
+        np.maximum(g, 0.0, out=g)
+        g[:cells] = g_near
+        g /= n * h
+        dens.append(g)
+    g0, g1 = dens
+    return smoothing.SmoothedMeasures(
+        sample=sample, kernel=kernel, h=h, cells=cells, grid=grid,
+        g0=g0, g1=g1, g=g0 + g1, moments=moments,
+    )
 
 
 def _scatter_sums(grid, times, weights, kernel, h, n):

@@ -1,6 +1,7 @@
 """Tests for the asymptotic MSE formulas and the resampling selectors."""
 
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,8 +17,8 @@ from curstat.bandwidth import (
     rate_exponent,
     variance_factor,
 )
-from curstat.bandwidth import _refine_minimizer
-from curstat._threads import thread_count
+from curstat.bandwidth import _refine_minimizer, _replicate
+from curstat._threads import child_rng, thread_count
 from curstat.errors import (
     DegenerateBias,
     EmptyGrid,
@@ -26,11 +27,12 @@ from curstat.errors import (
     PilotDegenerate,
     ZeroCensoringDensity,
 )
+from curstat.estimators import fit_msle, msle_F, msle_lambda
 from curstat.kernels import triweight
 from curstat.mle import build_sample
-from curstat.sim import sample_current_status, truth_gamma4_exp3
+from curstat.sim import _draw, sample_current_status, truth_gamma4_exp3
 
-from oracles import golden_section_min
+from oracles import fit_smoothed_per_h, golden_section_min
 
 KERNEL = triweight()
 TRUTH = truth_gamma4_exp3()
@@ -297,3 +299,40 @@ def test_ms_target_bootstrap_smoke():
     assert sel.c_grid.size == 3
     assert np.all(sel.mse >= 0.0)
     assert sel.method == "MS"
+
+
+@pytest.mark.parametrize(
+    "target, t, error", [("F", 4.0, InputError), ("lambda", 14.0, HazardDenominatorViolation)]
+)
+def test_ms_replicate_raises_the_per_h_loops_first_error(target, t, error):
+    # The third and fourth bandwidths need more grid nodes than the
+    # ceiling, and the error names the third.  At t = 14 the hazard of
+    # the first is undefined, which the per-h loop meets before that.
+    n, seed = 200, 3
+    c_grid = np.array([5.0, 2.0, 1e-6, 1e-7])
+    with pytest.raises(error) as got:
+        mc_bandwidth(TRUTH, n, 1, c_grid, t, target, "MS", KERNEL, seed)
+    times, deltas = _draw(TRUTH.sample_x, TRUTH.sample_t, n, child_rng(seed, 0))
+    sample = build_sample(np.column_stack([times, deltas]))
+    evaluate = {"F": msle_F, "lambda": msle_lambda}[target]
+    with pytest.raises(error) as want:
+        for h in c_grid * n ** (-rate_exponent(target)):
+            evaluate(fit_msle(fit_smoothed_per_h(sample, KERNEL, float(h))), t)
+    assert type(got.value) is type(want.value)
+    assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("m, c_lo, c_hi", [(500, 0.5, 50.0), (2000, 1.0, 25.0)])
+def test_ms_replicate_memory_stays_within_its_chunks(m, c_lo, c_hi):
+    # 60 bandwidths smoothed at once would hold tens of MB; chunks keep
+    # one replicate's peak near 3 MB
+    hs = [float(h) for h in np.geomspace(c_lo, c_hi, 60) * m ** (-0.2)]
+    body = _replicate(TRUTH.sample_x, TRUTH.sample_t, m, "msle", "F", KERNEL, hs, 4.0)
+    body(0, child_rng(1, 0))  # kernel tables built before the measurement
+    tracemalloc.start()
+    try:
+        body(1, child_rng(1, 1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20

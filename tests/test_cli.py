@@ -287,6 +287,33 @@ def test_estimate_roundtrip_matches_library(tmp_path):
         assert r[4] == _fmt(want_sf[i])
 
 
+@pytest.mark.parametrize(
+    "flags, fits",
+    [
+        (["--method", "naive,msle", "--target", "F,f", "--h", "0.5"], 0),
+        (["--method", "mle,smle", "--target", "F", "--c", "6.467"], 1),
+        # two bandwidths, one for each target's rate, share the one MLE
+        (["--method", "smle", "--target", "F,f", "--c", "6.467"], 1),
+    ],
+)
+def test_estimate_fits_the_mle_only_for_columns_that_read_it(tmp_path, monkeypatch, flags, fits):
+    from curstat import estimators
+
+    calls = []
+
+    def counted(sample):
+        calls.append(sample.n)
+        return fit_mle(sample)
+
+    monkeypatch.setattr(estimators, "fit_mle", counted)
+    monkeypatch.setattr(cli, "fit_mle", counted)
+    inp = _sample_csv(tmp_path / "obs.csv", n=400)
+    out = tmp_path / "out.csv"
+    assert main(["estimate", "--input", inp, "--output", str(out)] + flags) in (0, 3)
+    assert out.exists()
+    assert len(calls) == fits
+
+
 def test_estimate_trims_tail_for_ratio_targets(tmp_path):
     # T_max + h is an exact multiple of the tabulation spacing h/32, so
     # the smoothed density is exactly zero at the grid end and the

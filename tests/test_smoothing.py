@@ -1,10 +1,13 @@
 """Tests for the smoothed-measures tabulation."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from curstat import smoothing
 from curstat.errors import (
     GridTooCoarse,
     InputError,
@@ -13,9 +16,9 @@ from curstat.errors import (
 )
 from curstat.kernels import triweight
 from curstat.mle import build_sample
-from curstat.smoothing import _binned_moments, fit_smoothed
+from curstat.smoothing import _binned_moments, _fit_smoothed_many, fit_smoothed
 
-from oracles import ScaledKernel, binned_moments_vander, direct_smoothed
+from oracles import ScaledKernel, binned_moments_vander, direct_smoothed, fit_smoothed_per_h
 
 KERNEL = triweight()
 
@@ -328,7 +331,49 @@ def test_binned_moments_match_vander_oracle(case):
     times = np.asarray(times, dtype=float)
     counts, ones = np.asarray(counts), np.asarray(ones)
     weights = np.column_stack([counts - ones, ones]).astype(float)
-    got = _binned_moments(times, weights, delta, powers)
+    got, _ = _binned_moments(times, weights, [delta], powers, 0)
     want = binned_moments_vander(times, weights, delta, powers)
     assert got.shape == want.shape
     assert got.tobytes() == want.tobytes()
+
+
+@st.composite
+def _batch_cases(draw):
+    cells = draw(st.sampled_from((16, 32, 64)))
+    pool = draw(st.lists(st.floats(0.0, 6.0), min_size=1, max_size=25))
+    # drawing from a small pool makes ties
+    times = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=40))
+    deltas = draw(st.lists(st.integers(0, 1), min_size=len(times), max_size=len(times)))
+    # unsorted, with duplicates, some at least the data span
+    hs = draw(st.lists(st.sampled_from((0.05, 0.3, 0.3, 1.1, 4.0, 9.0)), min_size=1, max_size=8))
+    # a budget of 0 fits one bandwidth per chunk; 600 cells split the
+    # small bandwidths apart and group the wide ones
+    budget = draw(st.sampled_from((0, 600, 8192)))
+    return cells, times, deltas, hs, budget
+
+
+@given(_batch_cases())
+@example((32, [5.0], [1], [1.0, 0.3, 9.0], 8192))  # n = 1
+@example((16, [0.0, 0.0, 0.1, 0.3], [0, 1, 0, 1], [4.0, 0.05, 4.0], 0))
+@example((64, [0.2, 0.2, 0.2, 4.0, 4.0], [1, 0, 1, 0, 1], [9.0, 1.1, 0.3, 1.1], 600))
+def test_batch_matches_per_h_oracle(case):
+    cells, times, deltas, hs, budget = case
+    sample = build_sample(_records(times, deltas))
+    with mock.patch.object(smoothing, "_CHUNK_BUDGET", budget):
+        fits = list(_fit_smoothed_many(sample, KERNEL, hs, grid_spec=cells))
+    assert [sm.h for sm in fits] == hs
+    for sm in fits:
+        want = fit_smoothed_per_h(sample, KERNEL, sm.h, cells)
+        assert sm.grid.tobytes() == want.grid.tobytes()
+        assert sm.moments.tobytes() == want.moments.tobytes()
+        # The last 2K nodes of a segment with others in its chunk sum
+        # zero cells of the gap, so their rounding may move; a lone
+        # bandwidth is its own fit.
+        head = sm.grid.size if budget == 0 else max(cells, sm.grid.size - 1 - 2 * cells)
+        scale = np.max(np.abs(want.g))
+        for key in ("g0", "g1", "G"):
+            got, ref = getattr(sm, key), getattr(want, key)
+            assert got[:head].tobytes() == ref[:head].tobytes()
+            np.testing.assert_allclose(got[head:], ref[head:], rtol=0, atol=1e-14 * scale)
+        for key in ("dg0", "dg1"):
+            assert getattr(sm, key).tobytes() == getattr(want, key).tobytes()
