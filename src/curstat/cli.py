@@ -32,7 +32,7 @@ from .bandwidth import (
 )
 from .errors import DomainError, InputError
 from .estimators import _Fits, _guarded, _guards
-from .kernels import triweight
+from .kernels import check_bandwidth, triweight
 from .mle import build_sample, fit_mle
 from .sim import sample_current_status, truth_gamma4_exp3
 from .smoothing import _MAX_GRID_NODES
@@ -252,14 +252,17 @@ def _bootstrap_config(args, what: str) -> BootstrapConfig:
 
 
 def _explicit_h(args, target: str, n: int) -> float | None:
-    """h from ``--h``, or ``c n^-alpha`` from ``--c [--alpha]``; None when
-    neither flag is given."""
+    """h from ``--h``, or ``c n^-alpha`` from ``--c [--alpha]``, checked to
+    be positive and finite; None when neither flag is given."""
     if args.h is not None:
-        return float(args.h)
-    if args.c is None:
+        h = float(args.h)
+    elif args.c is None:
         return None
-    alpha = args.alpha if args.alpha is not None else rate_exponent(target)
-    return float(args.c) * n ** (-float(alpha))
+    else:
+        alpha = args.alpha if args.alpha is not None else rate_exponent(target)
+        h = float(args.c) * n ** (-float(alpha))
+    check_bandwidth(h)
+    return h
 
 
 # ---------------------------------------------------------------------------

@@ -293,14 +293,15 @@ def msle_lambda(fit: ConvexHullFit, t):
 _SMLE_BLOCK = 4096
 
 
-def _smle_sum(mle: StepDistribution, h: float, t, weight):
+def _smle_sum(mle: StepDistribution, h: float, t, window, tails, weight):
     """``sum_j masses_j * weight((t - tau_j) / h)`` at ``t``.
 
     A Python scalar ``t`` (the selectors' thousands of point evaluations)
     is checked and weighted in Python floats.  Only the jumps with
-    ``|u| <= 1`` are weighted one at a time, so the Python work does not
-    grow with the jumps far from ``t``: every jump beyond gets
-    ``weight(2.0)`` or ``weight(-2.0)``, which is ``weight(u)`` for all
+    ``|u| <= 1`` are weighted, by one ``window(x, h, taus)`` call that
+    loops over them, so the Python work does not grow with the jumps far
+    from ``t``: every jump beyond gets ``tails[0]`` or ``tails[1]``,
+    ``weight(2.0)`` and ``weight(-2.0)``, which is ``weight(u)`` for all
     ``u > 1`` or ``u < -1``.  It gives the same bits as a one-element
     array: the same IEEE operations as the ufuncs, and the same dot
     (numpy's matmul reduces a one-row product with the same kernel as a
@@ -312,9 +313,9 @@ def _smle_sum(mle: StepDistribution, h: float, t, weight):
         if not (math.isfinite(x) and x >= 0.0):
             raise OutOfDomain(_DOMAIN_MESSAGE)
         check_bandwidth(h)
-        if mle.jump_times.size == 0:
+        jt = mle.jump_list
+        if not jt:
             return 0.0
-        jt = mle.jump_times.tolist()
         # u = (x - tau) / h falls with tau; the bisections on x - h and
         # x + h may leave out a neighbour that rounding puts at |u| = 1
         lo = bisect_left(jt, x - h)
@@ -323,11 +324,11 @@ def _smle_sum(mle: StepDistribution, h: float, t, weight):
         hi = bisect_right(jt, x + h, lo=lo)
         while hi < len(jt) and (x - jt[hi]) / h >= -1.0:
             hi += 1
-        weights = [weight((x - tau) / h) for tau in jt[lo:hi]]
+        weights = window(x, h, jt[lo:hi])
         if lo:
-            weights = [weight(2.0)] * lo + weights
+            weights = [tails[0]] * lo + weights
         if hi < len(jt):
-            weights += [weight(-2.0)] * (len(jt) - hi)
+            weights += [tails[1]] * (len(jt) - hi)
         return float(np.array(weights) @ mle.masses)
     arr = _as_array(t)
     check_bandwidth(h)
@@ -345,13 +346,14 @@ def _smle_sum(mle: StepDistribution, h: float, t, weight):
 def smle_F(mle: StepDistribution, kernel: Kernel, h: float, t):
     """Kernel-smoothed MLE distribution: sum of jump masses times the
     integrated kernel."""
-    return _smle_sum(mle, h, t, kernel.K)
+    return _smle_sum(mle, h, t, kernel.K_window, kernel.K_tails, kernel.K)
 
 
 def smle_f(mle: StepDistribution, kernel: Kernel, h: float, t):
     """Kernel-smoothed MLE density: sum of jump masses times the scaled
     kernel."""
-    return _smle_sum(mle, h, t, lambda u: kernel.k(u) / h)
+    # k vanishes beyond its support, and 0.0 / h is 0.0 for a positive h
+    return _smle_sum(mle, h, t, kernel.k_window, (0.0, 0.0), lambda u: kernel.k(u) / h)
 
 
 def smle_lambda(mle: StepDistribution, kernel: Kernel, h: float, t):

@@ -17,6 +17,7 @@ and a vanishing first moment on ``(-1, beta]``.  Their partial moments
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -67,10 +68,12 @@ class Kernel:
     The density ``k``, antiderivative ``K`` and derivative ``k_prime``
     accept scalars or arrays and return values of the same shape; outside
     [-1, 1] the density and derivative are 0 and ``K`` saturates at 0 or 1.
-    A float in ``k`` or ``K`` gives a float out, with the bits of a
-    one-element array: the same IEEE operations in the same order.
-    ``m2``, ``l2_k`` and ``l2_kprime`` are the second moment and the
-    integrals of ``k^2`` and ``k'^2``.
+    ``K_window`` and ``k_window`` weight a list of points ``tau`` at once,
+    ``K((x - tau) / h)`` and ``k((x - tau) / h) / h``, in one loop over
+    Python floats; a float in ``k`` or ``K`` is their one-element call.
+    Each float gives the bits of the array route: the same IEEE
+    operations in the same order.  ``m2``, ``l2_k`` and ``l2_kprime`` are
+    the second moment and the integrals of ``k^2`` and ``k'^2``.
     """
 
     name: str
@@ -96,19 +99,67 @@ class Kernel:
         parts = (A, -2.0 * _poly.polyder(A), _poly.polyint(c)[1::2])
         return tuple(tuple(float(a) for a in part) for part in parts)
 
+    @cached_property
+    def _horner_steps(self) -> tuple[tuple[float, tuple[float, ...]], ...]:
+        """Each form of :attr:`_forms` as the leading coefficient and the
+        rest from the top down: the order in which :func:`_horner` reads
+        them."""
+        return tuple((form[-1], form[-2::-1]) for form in self._forms)
+
+    def k_window(self, x: float, h: float, taus) -> list[float]:
+        """``k((x - tau) / h) / h`` for each float ``tau`` in ``taus``."""
+        top, rest = self._horner_steps[0]
+        out = []
+        for tau in taus:
+            u = (x - tau) / h
+            w = 1.0 - u * u
+            if w >= 0.0:
+                # _horner inline
+                acc = top
+                for a in rest:
+                    acc = acc * w
+                    if a:
+                        acc = acc + a
+                out.append(acc / h)
+            else:
+                out.append(0.0 / h)
+        return out
+
+    def K_window(self, x: float, h: float, taus) -> list[float]:
+        """``K((x - tau) / h)`` for each float ``tau`` in ``taus``."""
+        top, rest = self._horner_steps[2]
+        out = []
+        for tau in taus:
+            u = (x - tau) / h
+            u = -1.0 if u < -1.0 else 1.0 if u > 1.0 else u
+            w = u * u
+            # _horner inline
+            acc = top
+            for a in rest:
+                acc = acc * w
+                if a:
+                    acc = acc + a
+            v = 0.5 + u * acc
+            out.append(0.0 if v < 0.0 else 1.0 if v > 1.0 else v)
+        return out
+
+    @cached_property
+    def K_tails(self) -> tuple[float, float]:
+        """``K(2.0)`` and ``K(-2.0)``: ``K(u)`` for every ``u > 1`` and
+        every ``u < -1``."""
+        return self.K(2.0), self.K(-2.0)
+
     def k(self, u):
         if isinstance(u, float):
-            w = 1.0 - u * u
-            return _horner(self._forms[0], w) if w >= 0.0 else 0.0
+            # (u - 0.0) / 1.0 is u, and a value / 1.0 is the value
+            return self.k_window(u, 1.0, (0.0,))[0]
         u = np.asarray(u, dtype=float)
         w = 1.0 - u * u
         return np.where(w >= 0.0, _horner(self._forms[0], w), 0.0)
 
     def K(self, u):
         if isinstance(u, float):
-            u = -1.0 if u < -1.0 else 1.0 if u > 1.0 else u
-            v = 0.5 + u * _horner(self._forms[2], u * u)
-            return 0.0 if v < 0.0 else 1.0 if v > 1.0 else v
+            return self.K_window(u, 1.0, (0.0,))[0]
         # np.minimum(np.maximum(...)) is np.clip without its Python-level
         # dispatch
         u = np.minimum(np.maximum(np.asarray(u, dtype=float), -1.0), 1.0)
@@ -143,8 +194,8 @@ def triweight() -> Kernel:
 
 
 def check_bandwidth(h) -> None:
-    """Raise :class:`NonpositiveBandwidth` unless ``h > 0``."""
-    if not h > 0.0:
+    """Raise :class:`NonpositiveBandwidth` unless ``h`` is positive and finite."""
+    if not 0.0 < h < math.inf:
         raise NonpositiveBandwidth(f"bandwidth must be positive, got {h}")
 
 

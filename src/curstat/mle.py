@@ -124,6 +124,11 @@ class StepDistribution:
         masses.flags.writeable = False
         return masses
 
+    @cached_property
+    def jump_list(self) -> list[float]:
+        """``jump_times`` as a list of Python floats (computed once)."""
+        return self.jump_times.tolist()
+
     @property
     def total_mass(self) -> float:
         return float(self.values[-1]) if len(self.values) else 0.0

@@ -43,7 +43,6 @@ from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 
 from .errors import GridTooCoarse, InputError, NonpositiveBandwidth, OutOfDomain
 from .kernels import Kernel, boundary_family
@@ -128,7 +127,9 @@ class SmoothedMeasures:
         return dg
 
     def _integral(self, g: np.ndarray) -> np.ndarray:
-        return cumulative_trapezoid(g, dx=self.h / self.cells, initial=0.0)
+        # scipy's cumulative_trapezoid(g, dx=dx, initial=0.0), term for term
+        dx = self.h / self.cells
+        return np.concatenate(([0.0], np.cumsum(dx * (g[1:] + g[:-1]) / 2.0)))
 
     @cached_property
     def dg0(self) -> np.ndarray:

@@ -27,9 +27,10 @@ from curstat.errors import (
     PilotDegenerate,
     ZeroCensoringDensity,
 )
-from curstat.estimators import fit_msle, msle_F, msle_lambda
+from curstat import estimators
+from curstat.estimators import fit_msle, msle_F, msle_lambda, smle_F, smle_f, smle_lambda
 from curstat.kernels import triweight
-from curstat.mle import build_sample
+from curstat.mle import build_sample, fit_mle
 from curstat.sim import _draw, sample_current_status, truth_gamma4_exp3
 
 from oracles import fit_smoothed_per_h, golden_section_min
@@ -319,6 +320,51 @@ def test_ms_replicate_raises_the_per_h_loops_first_error(target, t, error):
         for h in c_grid * n ** (-rate_exponent(target)):
             evaluate(fit_msle(fit_smoothed_per_h(sample, KERNEL, float(h))), t)
     assert type(got.value) is type(want.value)
+    assert str(got.value) == str(want.value)
+
+
+_SMLE = {"F": smle_F, "f": smle_f, "lambda": smle_lambda}
+
+
+def _sm_rows_per_h(m, target, hs, t, rng):
+    """An SM replicate's row the slow way: each bandwidth on its own, as a
+    one-element array."""
+    times, deltas = _draw(TRUTH.sample_x, TRUTH.sample_t, m, rng)
+    mle = fit_mle(build_sample(np.column_stack([times, deltas])))
+    return np.array([_SMLE[target](mle, KERNEL, h, np.array([t]))[0] for h in hs])
+
+
+@pytest.mark.parametrize("target", ["F", "f", "lambda"])
+@pytest.mark.parametrize("m, t", [(60, 4.0), (500, 4.0), (500, 6.5), (2000, 4.0)])
+def test_sm_replicate_rows_match_per_h_array_evaluation(m, t, target):
+    hs = [float(h) for h in np.geomspace(1.0, 25.0, 60) * m ** (-rate_exponent(target))]
+    body = _replicate(TRUTH.sample_x, TRUTH.sample_t, m, "smle", target, KERNEL, hs, t)
+    for seed in range(4):
+        got = body(seed, child_rng(seed, seed))
+        want = _sm_rows_per_h(m, target, hs, t, child_rng(seed, seed))
+        assert got.tobytes() == want.tobytes(), seed
+
+
+def test_sm_replicate_raises_at_the_per_h_loops_bandwidth(monkeypatch):
+    # At t = 10 the third bandwidth puts all of this sample's unit mass
+    # below t - h: the hazard ceiling trips there, after two rows of values
+    m, t, seed = 200, 10.0, 3
+    hs = [float(h) for h in np.geomspace(25.0, 1.0, 8) * m ** (-0.2)]
+    seen = []
+    original = estimators.smle_F
+
+    def recording(mle, kernel, h, points):
+        seen.append(h)
+        return original(mle, kernel, h, points)
+
+    monkeypatch.setattr(estimators, "smle_F", recording)
+    body = _replicate(TRUTH.sample_x, TRUTH.sample_t, m, "smle", "lambda", KERNEL, hs, t)
+    with pytest.raises(HazardDenominatorViolation) as got:
+        body(0, child_rng(seed, 0))
+    got_hs, seen[:] = seen[:], []
+    with pytest.raises(HazardDenominatorViolation) as want:
+        _sm_rows_per_h(m, "lambda", hs, t, child_rng(seed, 0))
+    assert got_hs == seen == hs[:3]
     assert str(got.value) == str(want.value)
 
 

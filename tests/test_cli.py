@@ -403,6 +403,27 @@ def test_estimate_tiny_bandwidth_exits_2_before_allocating(tmp_path, capsys):
     assert not (tmp_path / "out.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "command, flags, shown",
+    [
+        ("simulate", ["--c", "inf"], "inf"),
+        ("estimate", ["--h", "inf"], "inf"),
+        ("estimate", ["--c", "nan"], "nan"),
+        ("estimate", ["--c", "5", "--alpha", "nan"], "nan"),
+    ],
+)
+def test_smle_nonfinite_bandwidth_exits_2(tmp_path, capsys, command, flags, shown):
+    out = tmp_path / "out.csv"
+    if command == "simulate":
+        argv = ["simulate", "--n", "50", "--B", "3", "--t", "4"]
+    else:
+        argv = ["estimate", "--input", _sample_csv(tmp_path / "obs.csv", n=100, seed=1)]
+    argv += ["--method", "smle", "--target", "F", *flags, "--output", str(out)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"input error: bandwidth must be positive, got {shown}\n"
+    assert not out.exists()
+
+
 def test_estimate_huge_grid_points_exit_2_before_allocating(tmp_path, capsys):
     # 1e10 evaluation nodes would be 74.5 GiB per column
     inp = _sample_csv(tmp_path / "obs.csv", n=200, seed=5)

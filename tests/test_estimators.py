@@ -369,7 +369,10 @@ def _outcome(fn, *args):
 
 _BAD_T = (-1.0, np.nan, np.inf)
 _JUMPS_AT_2_AND_4 = dict(times=[1.0, 2.0, 3.0, 4.0], deltas=[0, 1, 0, 1] + [0] * 36)
-_BAD_H = (0.0, -0.5, np.nan)
+_BAD_H = (0.0, -0.5, np.nan, np.inf)
+# the triweight's and the Epanechnikov's k in w = 1 - u^2 have zero
+# coefficients, which Horner's rule skips; the uniform's forms are constants
+_SMLE_KERNELS = (KERNEL, Kernel("uniform", (0.5,)), Kernel("epa", (0.75, 0.0, -0.75)))
 
 
 @given(
@@ -400,10 +403,11 @@ _BAD_H = (0.0, -0.5, np.nan)
 )
 def test_smle_scalar_path_matches_one_element_array(times, deltas, t, h):
     mle = fit_mle(build_sample(_records(times, deltas[: len(times)])))
-    for fn in (smle_F, smle_f, smle_lambda):
-        scalar = _outcome(fn, mle, KERNEL, h, t)
-        assert scalar == _outcome(fn, mle, KERNEL, h, np.array([t], dtype=float)), fn
-        assert scalar == _outcome(fn, mle, KERNEL, h, np.asarray(t, dtype=float)), fn
+    for kern in _SMLE_KERNELS:
+        for fn in (smle_F, smle_f, smle_lambda):
+            scalar = _outcome(fn, mle, kern, h, t)
+            assert scalar == _outcome(fn, mle, kern, h, np.array([t], dtype=float)), (kern, fn)
+            assert scalar == _outcome(fn, mle, kern, h, np.asarray(t, dtype=float)), (kern, fn)
 
 
 @pytest.mark.parametrize(

@@ -89,6 +89,45 @@ def test_float_branch_matches_one_element_array(u):
             assert np.array([numpy_scalar]).tobytes() == want, (kern.name, fn)
 
 
+# the examples of the float branch above, as u = (0.0 - tau) / 1.0
+_SPECIAL_U = (
+    1.0,
+    -1.0,
+    float(np.nextafter(1.0, 2.0)),
+    float(np.nextafter(-1.0, -2.0)),
+    float(np.nextafter(1.0, 0.0)),
+    float(np.nextafter(-1.0, 0.0)),
+    -0.9999999999999973,
+    0.0,
+    -0.0,
+    1e-300,
+    -1e-300,
+    1e300,
+    -1e300,
+)
+
+
+@given(
+    x=st.floats(allow_nan=False, allow_infinity=False),
+    h=st.floats(min_value=1e-300, max_value=1e300),
+    taus=st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=12),
+)
+@example(x=0.0, h=1.0, taus=[-u for u in _SPECIAL_U])
+@example(x=3.0, h=1.0, taus=[2.0, 4.0, float(np.nextafter(2.0, 0.0)), 3.0])
+@example(x=5.0, h=0.25, taus=(np.arange(40) / 8.0).tolist())
+def test_window_matches_array_route(x, h, taus):
+    for kern in _KERNELS:
+        with np.errstate(all="ignore"):  # numpy warns where u * u overflows
+            u = (x - np.array(taus, dtype=float)) / h
+            want_K = kern.K(u)
+            want_k = kern.k(u) / h
+        got_K = kern.K_window(x, h, taus)
+        got_k = kern.k_window(x, h, taus)
+        assert all(type(v) is float for v in got_K + got_k), kern.name
+        assert np.array(got_K, dtype=float).tobytes() == want_K.tobytes(), kern.name
+        assert np.array(got_k, dtype=float).tobytes() == want_k.tobytes(), kern.name
+
+
 def test_first_moment_vanishes_by_symmetry():
     kern = triweight()
     u = np.linspace(-1.0, 1.0, 2001)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
+from scipy.integrate import cumulative_trapezoid
 
 from curstat import smoothing
 from curstat.errors import (
@@ -151,6 +152,22 @@ def test_boundary_mass_recovery_near_origin():
     deltas = (rng.random(4000) < 0.5).astype(int)
     sm = fit_smoothed(build_sample(_records(times, deltas)), KERNEL, 0.5)
     assert abs(sm.G[-1] - 1.0) < 5e-3
+
+
+def test_antiderivatives_match_scipys_cumulative_trapezoid():
+    rng = np.random.default_rng(23)
+    for n, h in ((1, 0.7), (40, 0.3), (300, 1.1), (2000, 0.45)):
+        sm = fit_smoothed(
+            build_sample(_records(rng.uniform(0.0, 8.0, n), rng.integers(0, 2, n))), KERNEL, h
+        )
+        dx = sm.h / sm.cells
+        for name in ("g0", "g1", "g"):
+            want = cumulative_trapezoid(getattr(sm, name), dx=dx, initial=0.0)
+            assert getattr(sm, name.upper()).tobytes() == want.tobytes(), (n, name)
+        for size in (1, 2, 3, 1000):
+            g = rng.uniform(0.0, 1.0, size) * 10.0 ** rng.uniform(-300, 300, size)
+            want = cumulative_trapezoid(g, dx=dx, initial=0.0)
+            assert sm._integral(g).tobytes() == want.tobytes(), (n, size)
 
 
 def test_eval_exact_at_nodes_and_conventions():
