@@ -2,18 +2,12 @@
 
 Replicate i of a simulation always draws from a generator seeded by
 (master seed, i), so the result set is a pure function of the master
-seed no matter how many workers run the loop.  Aggregation happens by
-replicate index, never by completion order.
-
-The worker count is capped by the CURSTAT_THREADS environment variable
-and by the CPU count; unset or invalid values fall back to a small
-default.
+seed.  The replicates run one after another in the calling thread, in
+index order: their bodies hold the interpreter lock, so a thread pool
+only added overhead.
 """
 
 from __future__ import annotations
-
-import os
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -21,12 +15,11 @@ __all__ = ["thread_count", "child_rng", "replicate_map"]
 
 
 def thread_count() -> int:
-    raw = os.environ.get("CURSTAT_THREADS", "")
-    try:
-        k = int(raw)
-    except ValueError:
-        k = 0
-    return min(k if k >= 1 else 4, os.cpu_count() or 1)
+    """Always 1.  The benchmark (``bench/run.py``) is its only reader; a
+    later benchmark change (ROADMAP item 1) can drop it, with the thread
+    variable ``bench/run.py`` still sets, which nothing reads, and the
+    text about it in ``bench/README.md``."""
+    return 1
 
 
 def child_rng(master_seed: int, index: int) -> np.random.Generator:
@@ -35,13 +28,6 @@ def child_rng(master_seed: int, index: int) -> np.random.Generator:
 
 
 def replicate_map(fn, count: int, master_seed: int) -> list:
-    """Run ``fn(i, rng)`` for i in range(count), in replicate order.
-
-    Each call gets its own child generator; results are returned
-    indexed by i regardless of scheduling.
-    """
-    workers = thread_count()
-    if workers == 1 or count <= 1:
-        return [fn(i, child_rng(master_seed, i)) for i in range(count)]
-    with ThreadPoolExecutor(max_workers=workers) as ex:
-        return list(ex.map(lambda i: fn(i, child_rng(master_seed, i)), range(count)))
+    """``[fn(i, rng_i) for i in range(count)]`` in the calling thread,
+    where ``rng_i`` is the child generator of replicate i."""
+    return [fn(i, child_rng(master_seed, i)) for i in range(count)]

@@ -31,6 +31,7 @@ three-point parabola in log c.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -98,10 +99,7 @@ class BandwidthPlan:
     n: int
 
     def __post_init__(self):
-        if self.target not in _TARGETS:
-            raise ValueError(f"unknown target {self.target!r}")
-        if self.method not in _METHODS:
-            raise ValueError(f"unknown method {self.method!r}")
+        _check_tm(self.target, self.method)
         if not self.c > 0.0:
             raise InputError(f"bandwidth constant must be positive, got {self.c}")
         if self.n < 1:
@@ -212,6 +210,18 @@ def amse_optimal_c(
 # resampling selectors
 
 
+def _checked_c_grid(c_grid) -> np.ndarray:
+    """``c_grid`` as a nonempty 1-d float array of positive finite constants."""
+    grid = np.asarray(c_grid, dtype=float)
+    if grid.ndim != 1 or grid.size == 0:
+        raise EmptyGrid("c_grid must be a nonempty 1-d array")
+    if np.any(grid <= 0.0):
+        raise InputError("all bandwidth constants must be positive")
+    if not np.all(np.isfinite(grid)):
+        raise InputError("all bandwidth constants must be finite")
+    return grid
+
+
 @dataclass(frozen=True)
 class BootstrapConfig:
     """Parameters of the smoothed-bootstrap selector.
@@ -239,15 +249,14 @@ class BootstrapConfig:
             raise InputError(f"replicate count must be >= 1, got {self.B}")
         if not self.c0 > 0.0:
             raise InputError(f"pilot constant must be positive, got {self.c0}")
+        if not 10.0 * self.c0 < math.inf:
+            raise InputError(f"pilot constant must keep the c-grid end 10 c0 finite, got {self.c0}")
         if self.t < 0.0:
             raise InputError(f"evaluation point must be >= 0, got {self.t}")
+        if not math.isfinite(self.t):
+            raise InputError(f"evaluation point must be finite, got {self.t}")
         if self.c_grid is not None:
-            grid = np.asarray(self.c_grid, dtype=float)
-            if grid.ndim != 1 or grid.size == 0:
-                raise EmptyGrid("c_grid must be a nonempty 1-d array")
-            if np.any(grid <= 0.0):
-                raise InputError("all bandwidth constants must be positive")
-            object.__setattr__(self, "c_grid", grid)
+            object.__setattr__(self, "c_grid", _checked_c_grid(self.c_grid))
 
     def resolved_grid(self) -> np.ndarray:
         if self.c_grid is not None:
@@ -482,13 +491,7 @@ def mc_bandwidth(
         raise InputError(f"sample size must be >= 1, got {sample_size}")
     if B < 1:
         raise InputError(f"replicate count must be >= 1, got {B}")
-    if c_grid is None:
-        c_grid = np.geomspace(1.0, 25.0, 60)
-    c_grid = np.asarray(c_grid, dtype=float)
-    if c_grid.ndim != 1 or c_grid.size == 0:
-        raise EmptyGrid("c_grid must be a nonempty 1-d array")
-    if np.any(c_grid <= 0.0):
-        raise InputError("all bandwidth constants must be positive")
+    c_grid = np.geomspace(1.0, 25.0, 60) if c_grid is None else _checked_c_grid(c_grid)
 
     alpha = rate_exponent(target)
     theta0 = _true_value(truth, target, t)

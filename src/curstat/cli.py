@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -35,12 +36,16 @@ from .estimators import _Fits, _guarded, _guards
 from .kernels import check_bandwidth, triweight
 from .mle import build_sample, fit_mle
 from .sim import sample_current_status, truth_gamma4_exp3
-from .smoothing import _MAX_GRID_NODES
+from .smoothing import _MAX_GRID_NODES, _as_array
 from ._threads import replicate_map
 
 _METHODS = ("mle", "naive", "msle", "smle")
 _TARGETS = ("F", "f", "lambda")
 _TABLE_POINTS = (4.0, 6.5)
+# Ceiling on a simulated sample size (--n; --m is at most --n), checked
+# before any draw: an MS or naive replicate peaks near 210 bytes per
+# observation, so one replicate at the ceiling stays near 220 MB.
+_MAX_SAMPLE_SIZE = 2**20
 
 
 def _fmt(x) -> str:
@@ -181,11 +186,7 @@ def _split_list(raw: str, allowed: tuple, what: str) -> list:
     for item in items:
         if item not in allowed:
             raise InputError(f"unknown {what} {item!r}, expected one of {allowed}")
-    seen = []
-    for item in items:
-        if item not in seen:
-            seen.append(item)
-    return seen
+    return list(dict.fromkeys(items))
 
 
 def _order_method(method: str) -> str:
@@ -214,6 +215,8 @@ def _explicit_c_grid(args) -> np.ndarray | None:
         raise InputError(f"--c-points must be in [1, {_MAX_GRID_NODES}], got {args.c_points}")
     if not (0.0 < args.c_min <= args.c_max):
         raise InputError("need 0 < c-min <= c-max")
+    if args.c_max == math.inf:
+        raise InputError("--c-max must be finite")
     if args.c_min == args.c_max and args.c_points > 1:
         raise InputError("equal c bounds require --c-points 1")
     return np.geomspace(args.c_min, args.c_max, args.c_points)
@@ -260,7 +263,11 @@ def _explicit_h(args, target: str, n: int) -> float | None:
         return None
     else:
         alpha = args.alpha if args.alpha is not None else rate_exponent(target)
-        h = float(args.c) * n ** (-float(alpha))
+        try:
+            scale = n ** (-float(alpha))
+        except OverflowError:  # beyond the float range; check_bandwidth reports c * inf
+            scale = math.inf
+        h = float(args.c) * scale
     check_bandwidth(h)
     return h
 
@@ -442,6 +449,8 @@ def cmd_simulate(args) -> int:
         raise InputError("simulate needs --n, --B and --t")
     if args.n < 1 or args.B < 1:
         raise InputError("--n and --B must be >= 1")
+    if args.n > _MAX_SAMPLE_SIZE:
+        raise InputError(f"--n must be at most {_MAX_SAMPLE_SIZE}, got {args.n}")
     target = args.target
     method = args.method
     if method == "mle" and target != "F":
@@ -452,6 +461,8 @@ def cmd_simulate(args) -> int:
         raise InputError("simulate needs --h or --c for smoothing methods")
 
     t_eval = float(args.t)
+    # the evaluators' check of t, made before any draw and for mle too
+    _as_array(t_eval)
     body = _replicate(
         truth.sample_x, truth.sample_t, args.n, method, target, kernel, [h], t_eval
     )
@@ -491,6 +502,8 @@ def cmd_reproduce_table1(args) -> int:
     kernel = _kernel(args.kernel)
     if args.n < 1 or args.m < 1 or args.B < 1:
         raise InputError("--n, --m and --B must be >= 1")
+    if args.n > _MAX_SAMPLE_SIZE:
+        raise InputError(f"--n must be at most {_MAX_SAMPLE_SIZE}, got {args.n}")
     if args.m > args.n:
         raise InputError(f"--m must not exceed --n, got m={args.m} n={args.n}")
     try:

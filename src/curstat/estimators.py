@@ -35,7 +35,7 @@ from .errors import (
 )
 from .kernels import Kernel, check_bandwidth
 from .mle import ObservedSample, StepDistribution, fit_mle, pava_blocks
-from .smoothing import SmoothedMeasures, fit_smoothed
+from .smoothing import _DOMAIN_MESSAGE, SmoothedMeasures, _as_array, fit_smoothed
 
 __all__ = [
     "G_FLOOR",
@@ -61,16 +61,6 @@ G_FLOOR = 1e-8
 # Hazards blow up as F approaches 1; refuse the composition beyond
 # this margin.
 F_CEILING = 1e-6
-
-
-_DOMAIN_MESSAGE = "evaluation points must be finite and nonnegative"
-
-
-def _as_array(t):
-    arr = np.asarray(t, dtype=float)
-    if arr.size and (not np.all(np.isfinite(arr)) or np.any(arr < 0.0)):
-        raise OutOfDomain(_DOMAIN_MESSAGE)
-    return arr
 
 
 def _shaped(values: np.ndarray, t):

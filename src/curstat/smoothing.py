@@ -68,6 +68,15 @@ _CHUNK_BUDGET = 8192
 
 _CURVES = ("g0", "g1", "g", "dg0", "dg1", "dg", "G0", "G1", "G")
 
+_DOMAIN_MESSAGE = "evaluation points must be finite and nonnegative"
+
+
+def _as_array(t) -> np.ndarray:
+    arr = np.asarray(t, dtype=float)
+    if arr.size and (not np.all(np.isfinite(arr)) or np.any(arr < 0.0)):
+        raise OutOfDomain(_DOMAIN_MESSAGE)
+    return arr
+
 
 @dataclass(frozen=True)
 class SmoothedMeasures:
@@ -179,9 +188,7 @@ class SmoothedMeasures:
         """
         if which not in _CURVES:
             raise ValueError(f"unknown curve {which!r}; expected one of {_CURVES}")
-        arr = np.asarray(t, dtype=float)
-        if arr.size and (not np.all(np.isfinite(arr)) or np.any(arr < 0.0)):
-            raise OutOfDomain("evaluation points must be finite and nonnegative")
+        arr = _as_array(t)
         tab = getattr(self, which)
         right = float(tab[-1]) if which.startswith("G") else 0.0
         out = np.interp(arr, self.grid, tab, left=tab[0], right=right)

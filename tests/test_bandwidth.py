@@ -1,6 +1,6 @@
 """Tests for the asymptotic MSE formulas and the resampling selectors."""
 
-import os
+import threading
 import tracemalloc
 
 import numpy as np
@@ -18,7 +18,7 @@ from curstat.bandwidth import (
     variance_factor,
 )
 from curstat.bandwidth import _refine_minimizer, _replicate
-from curstat._threads import child_rng, thread_count
+from curstat._threads import child_rng, replicate_map
 from curstat.errors import (
     DegenerateBias,
     EmptyGrid,
@@ -198,31 +198,16 @@ def test_bootstrap_determinism():
     np.testing.assert_array_equal(a.mse, b.mse)
 
 
-def test_bootstrap_thread_count_invariance(monkeypatch, eight_cpus):
-    sample = _desk_sample()
-    cfg = BootstrapConfig(
-        m=150, B=8, c0=10.0, t=4.0, seed=7, c_grid=np.geomspace(3, 20, 6)
-    )
-    monkeypatch.setenv("CURSTAT_THREADS", "1")
-    a = bootstrap_bandwidth(sample, cfg, "F", "SM", KERNEL)
-    monkeypatch.setenv("CURSTAT_THREADS", "4")
-    b = bootstrap_bandwidth(sample, cfg, "F", "SM", KERNEL)
-    assert a.c_hat == b.c_hat
-    np.testing.assert_array_equal(a.mse, b.mse)
+def test_replicates_run_in_the_calling_thread_in_index_order():
+    calls = []
 
+    def body(i, rng):
+        calls.append((i, threading.get_ident()))
+        return float(rng.random())
 
-def test_thread_count_is_capped_at_the_cpu_count(monkeypatch):
-    # only the count is read; no pool of that size is ever started
-    monkeypatch.setattr(os, "cpu_count", lambda: 3)
-    monkeypatch.setenv("CURSTAT_THREADS", "100000")
-    assert thread_count() == 3
-    monkeypatch.setenv("CURSTAT_THREADS", "2")
-    assert thread_count() == 2
-    monkeypatch.setenv("CURSTAT_THREADS", "not a number")
-    assert thread_count() == 3
-    monkeypatch.setattr(os, "cpu_count", lambda: None)
-    monkeypatch.setenv("CURSTAT_THREADS", "8")
-    assert thread_count() == 1
+    values = replicate_map(body, 6, 9)
+    assert calls == [(i, threading.get_ident()) for i in range(6)]
+    assert values == [float(child_rng(9, i).random()) for i in range(6)]
 
 
 def test_bootstrap_rejects_oversized_m():
@@ -270,10 +255,9 @@ def test_monotone_mse_curve_flags_the_grid_end():
     assert sel.at_edge == (sel.c_hat in (3.0, 20.0))
 
 
-def test_mc_determinism_and_reorder_invariance(monkeypatch, eight_cpus):
+def test_mc_determinism_and_reorder_invariance():
     c_grid = np.geomspace(3, 20, 6)
     a = mc_bandwidth(TRUTH, 300, 10, c_grid, 4.0, "F", "SM", KERNEL, seed=5)
-    monkeypatch.setenv("CURSTAT_THREADS", "3")
     b = mc_bandwidth(TRUTH, 300, 10, c_grid, 4.0, "F", "SM", KERNEL, seed=5)
     assert a.c_tilde == b.c_tilde
     np.testing.assert_array_equal(a.mse, b.mse)

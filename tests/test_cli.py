@@ -410,6 +410,9 @@ def test_estimate_tiny_bandwidth_exits_2_before_allocating(tmp_path, capsys):
         ("estimate", ["--h", "inf"], "inf"),
         ("estimate", ["--c", "nan"], "nan"),
         ("estimate", ["--c", "5", "--alpha", "nan"], "nan"),
+        # c n^-alpha beyond the float range
+        ("estimate", ["--c", "1e308", "--alpha", "-1000"], "inf"),
+        ("simulate", ["--c", "5", "--alpha", "-1000"], "inf"),
     ],
 )
 def test_smle_nonfinite_bandwidth_exits_2(tmp_path, capsys, command, flags, shown):
@@ -435,6 +438,53 @@ def test_estimate_huge_grid_points_exit_2_before_allocating(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("input error: --grid-points must be in [2, 1048576]")
     assert not (tmp_path / "out.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--method", "smle", "--n", "1000000000000", "--B", "1", "--t", "4", "--h", "1"],
+        ["reproduce-table1", "--n", "1000000000000", "--m", "10", "--B", "1"],
+    ],
+)
+def test_huge_sample_size_exits_2_before_drawing(tmp_path, capsys, argv):
+    # 1e12 simulated observations would be 29.1 TiB for one draw
+    rc = main(argv + ["--output", str(tmp_path / "out.csv")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err == "input error: --n must be at most 1048576, got 1000000000000\n"
+    assert not (tmp_path / "out.csv").exists()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "argv, code, message",
+    [
+        (["bandwidth", "--c0", "inf"], 2, "input error: pilot constant must keep the c-grid end 10 c0 finite, got inf"),
+        (["bandwidth", "--c-min", "1", "--c-max", "inf", "--c-points", "3"], 2,
+         "input error: --c-max must be finite"),
+        (["bandwidth", "--t", "nan"], 2, "input error: evaluation point must be finite, got nan"),
+        (["reproduce-table1", "--n", "80", "--m", "40", "--B", "1", "--c0-set", "inf"], 2,
+         "input error: pilot constant must keep the c-grid end 10 c0 finite, got inf"),
+        (["simulate", "--method", "mle", "--t", "nan"], 3,
+         "domain error: evaluation points must be finite and nonnegative"),
+        (["simulate", "--method", "mle", "--t", "-1"], 3,
+         "domain error: evaluation points must be finite and nonnegative"),
+    ],
+    ids=["c0-inf", "c-max-inf", "t-nan", "c0-set-inf", "mle-t-nan", "mle-t-negative"],
+)
+def test_nonfinite_constants_and_points_exit_with_one_line(tmp_path, capsys, argv, code, message):
+    # flags given later override the defaults below; the c0 and c-grid
+    # checks run before np.geomspace, so it warns of no inf
+    if argv[0] == "bandwidth":
+        inp = _sample_csv(tmp_path / "obs.csv", n=150, seed=3)
+        argv = ["bandwidth", "--input", inp, "--t", "4", "--m", "50", "--B", "2", "--c0", "10"] + argv[1:]
+    elif argv[0] == "simulate":
+        argv = ["simulate", "--n", "50", "--B", "2", "--t", "4"] + argv[1:]
+    out = tmp_path / "out"
+    assert main(argv + ["--output", str(out)]) == code
+    assert capsys.readouterr().err == message + "\n"
+    assert not out.exists()
 
 
 def test_bandwidth_huge_c_points_exit_2_before_allocating(tmp_path, capsys):
@@ -508,11 +558,10 @@ def test_bandwidth_warns_when_selection_is_a_grid_end(tmp_path, capsys):
     assert "at_edge" not in payload
 
 
-def test_bandwidth_deterministic_bytes(tmp_path, monkeypatch, eight_cpus):
+def test_bandwidth_deterministic_bytes(tmp_path):
     inp = _sample_csv(tmp_path / "obs.csv", n=150, seed=4)
     outs = []
-    for name, threads in (("a.json", "1"), ("b.json", "4")):
-        monkeypatch.setenv("CURSTAT_THREADS", threads)
+    for name in ("a.json", "b.json"):
         out = tmp_path / name
         rc = main([
             "bandwidth", "--input", inp, "--t", "4", "--m", "100",
