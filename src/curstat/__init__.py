@@ -25,7 +25,6 @@ from .errors import (
     DomainError,
     EmptyGrid,
     EmptySample,
-    GridTooCoarse,
     HazardDenominatorViolation,
     InputError,
     LengthMismatch,
@@ -99,7 +98,6 @@ __all__ = [
     "LengthMismatch",
     "NonpositiveWeight",
     "NonpositiveBandwidth",
-    "GridTooCoarse",
     "EmptyGrid",
     "OutOfDomain",
     "DensityFloorViolation",

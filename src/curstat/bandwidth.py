@@ -230,8 +230,7 @@ class BootstrapConfig:
     the replicate count, ``c0`` the pilot constant (pilot bandwidth
     c0 * n^{-1/5}), ``t`` the evaluation point, ``seed`` the master
     seed.  ``c_grid`` defaults to 60 geometrically spaced constants
-    spanning [c0/10, 10 c0].  ``n`` optionally pins the expected data
-    size as a guard.
+    spanning [c0/10, 10 c0].
     """
 
     m: int
@@ -240,7 +239,6 @@ class BootstrapConfig:
     t: float
     seed: int
     c_grid: np.ndarray | None = None
-    n: int | None = None
 
     def __post_init__(self):
         if self.m < 1:
@@ -428,8 +426,6 @@ def bootstrap_bandwidth(
     """
     _check_tm(target, method)
     n = sample.n
-    if config.n is not None and config.n != n:
-        raise InputError(f"config expects n={config.n} but the sample has n={n}")
     if config.m > n:
         raise InputError(f"bootstrap size m={config.m} exceeds data size n={n}")
     c_grid = config.resolved_grid()

@@ -46,6 +46,10 @@ _TABLE_POINTS = (4.0, 6.5)
 # before any draw: an MS or naive replicate peaks near 210 bytes per
 # observation, so one replicate at the ceiling stays near 220 MB.
 _MAX_SAMPLE_SIZE = 2**20
+# Ceiling on a replicate count (--B), checked before any draw:
+# replicate_map keeps one row per replicate, 60 values (about 0.6 kB) on
+# the default c-grid, so those rows stay near 40 MB at the ceiling.
+_MAX_REPLICATES = 2**16
 
 
 def _fmt(x) -> str:
@@ -234,6 +238,11 @@ def _warn_if_at_edge(what: str, sel, c: float) -> None:
         )
 
 
+def _check_replicates(B: int) -> None:
+    if B > _MAX_REPLICATES:
+        raise InputError(f"--B must be at most {_MAX_REPLICATES}, got {B}")
+
+
 def _bootstrap_config(args, what: str) -> BootstrapConfig:
     """The selector's configuration from ``--t --m --B --c0 --seed`` and
     the c-grid flags; ``what`` names the caller when a flag is missing."""
@@ -244,6 +253,7 @@ def _bootstrap_config(args, what: str) -> BootstrapConfig:
     ]
     if missing:
         raise InputError(f"{what} needs {', '.join(missing)}")
+    _check_replicates(args.B)
     return BootstrapConfig(
         m=args.m,
         B=args.B,
@@ -451,6 +461,7 @@ def cmd_simulate(args) -> int:
         raise InputError("--n and --B must be >= 1")
     if args.n > _MAX_SAMPLE_SIZE:
         raise InputError(f"--n must be at most {_MAX_SAMPLE_SIZE}, got {args.n}")
+    _check_replicates(args.B)
     target = args.target
     method = args.method
     if method == "mle" and target != "F":
@@ -504,6 +515,7 @@ def cmd_reproduce_table1(args) -> int:
         raise InputError("--n, --m and --B must be >= 1")
     if args.n > _MAX_SAMPLE_SIZE:
         raise InputError(f"--n must be at most {_MAX_SAMPLE_SIZE}, got {args.n}")
+    _check_replicates(args.B)
     if args.m > args.n:
         raise InputError(f"--m must not exceed --n, got m={args.m} n={args.n}")
     try:

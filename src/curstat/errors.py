@@ -15,7 +15,6 @@ __all__ = [
     "LengthMismatch",
     "NonpositiveWeight",
     "NonpositiveBandwidth",
-    "GridTooCoarse",
     "OutOfDomain",
     "DensityFloorViolation",
     "HazardDenominatorViolation",
@@ -61,10 +60,6 @@ class NonpositiveWeight(InputError):
 
 class NonpositiveBandwidth(InputError):
     """A bandwidth is zero or negative."""
-
-
-class GridTooCoarse(InputError):
-    """The evaluation grid resolves fewer than 16 points per bandwidth."""
 
 
 class OutOfDomain(DomainError):

@@ -63,6 +63,12 @@ G_FLOOR = 1e-8
 F_CEILING = 1e-6
 
 
+def _clears_ceiling(F):
+    """Where ``1 - F`` is above ``F_CEILING``: the one test of the hazard
+    evaluators and of :func:`_guards`, for a float or an array."""
+    return (1.0 - F) > F_CEILING
+
+
 def _shaped(values: np.ndarray, t):
     return float(values) if np.ndim(t) == 0 else values
 
@@ -119,7 +125,7 @@ def naive_lambda(sm: SmoothedMeasures, t):
         If the naive distribution value is too close to 1.
     """
     F = np.asarray(naive_F(sm, _as_array(t)))
-    if np.any(F >= 1.0 - F_CEILING):
+    if not np.all(_clears_ceiling(F)):
         raise HazardDenominatorViolation(
             f"naive F reaches {float(np.max(F)):.9g}; hazard undefined that close to 1"
         )
@@ -265,7 +271,7 @@ def msle_f(fit: ConvexHullFit, t):
 def msle_lambda(fit: ConvexHullFit, t):
     """Hazard composition of the monotonized pair."""
     F = np.asarray(msle_F(fit, t))
-    if np.any(F >= 1.0 - F_CEILING):
+    if not np.all(_clears_ceiling(F)):
         raise HazardDenominatorViolation(
             f"fitted F reaches {float(np.max(F)):.9g}; hazard undefined that close to 1"
         )
@@ -351,7 +357,7 @@ def smle_lambda(mle: StepDistribution, kernel: Kernel, h: float, t):
     F = smle_F(mle, kernel, h, t)
     # F >= 0, so an empty evaluation never trips the ceiling
     top = F if isinstance(F, float) else float(np.max(F, initial=0.0))
-    if top >= 1.0 - F_CEILING:
+    if not _clears_ceiling(top):
         raise HazardDenominatorViolation(
             f"smoothed F reaches {top:.9g}; hazard undefined that close to 1"
         )
@@ -421,7 +427,7 @@ def _guards(family: str, target: str, fits: _Fits, t: np.ndarray):
     if target == "lambda" and np.any(safe):
         ok = safe.copy()
         F = np.asarray(_EVAL[family]["F"](*fits.args(family), t[safe]))
-        ok[safe] = (1.0 - F) > F_CEILING
+        ok[safe] = _clears_ceiling(F)
         hit = safe & ~ok
         if np.any(hit):
             messages.append(

@@ -66,12 +66,11 @@ class Kernel:
         The polynomial must be even and integrate to one.
 
     The density ``k``, antiderivative ``K`` and derivative ``k_prime``
-    accept scalars or arrays and return values of the same shape; outside
+    take array_like ``u`` and return numpy values of its shape; outside
     [-1, 1] the density and derivative are 0 and ``K`` saturates at 0 or 1.
     ``K_window`` and ``k_window`` weight a list of points ``tau`` at once,
     ``K((x - tau) / h)`` and ``k((x - tau) / h) / h``, in one loop over
-    Python floats; a float in ``k`` or ``K`` is their one-element call.
-    Each float gives the bits of the array route: the same IEEE
+    Python floats, with the bits of the array route: the same IEEE
     operations in the same order.  ``m2``, ``l2_k`` and ``l2_kprime`` are
     the second moment and the integrals of ``k^2`` and ``k'^2``.
     """
@@ -147,19 +146,14 @@ class Kernel:
     def K_tails(self) -> tuple[float, float]:
         """``K(2.0)`` and ``K(-2.0)``: ``K(u)`` for every ``u > 1`` and
         every ``u < -1``."""
-        return self.K(2.0), self.K(-2.0)
+        return float(self.K(2.0)), float(self.K(-2.0))
 
     def k(self, u):
-        if isinstance(u, float):
-            # (u - 0.0) / 1.0 is u, and a value / 1.0 is the value
-            return self.k_window(u, 1.0, (0.0,))[0]
         u = np.asarray(u, dtype=float)
         w = 1.0 - u * u
         return np.where(w >= 0.0, _horner(self._forms[0], w), 0.0)
 
     def K(self, u):
-        if isinstance(u, float):
-            return self.K_window(u, 1.0, (0.0,))[0]
         # np.minimum(np.maximum(...)) is np.clip without its Python-level
         # dispatch
         u = np.minimum(np.maximum(np.asarray(u, dtype=float), -1.0), 1.0)

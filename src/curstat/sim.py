@@ -2,8 +2,8 @@
 
 The reference design: event times are 2 + Gamma(4, 1) and inspection
 times are Exponential with mean 3, independent.  Everything about the
-truth is closed-form, including three density derivatives on the event
-side and two on the censoring side, which the bandwidth formulas need.
+truth is closed-form, including the first two derivatives of the event
+density and of the censoring density, which the bandwidth formulas need.
 
 Samplers draw unit exponentials by inverse cdf from a seeded generator
 (a Gamma with integer shape is a sum of exponentials), so a sample is a
@@ -28,8 +28,8 @@ class TruthSpec:
     """Closed-form model specification.
 
     Event-time distribution ``F0`` with density ``f0`` and derivatives
-    ``df0``, ``d2f0``, ``d3f0``; censoring density ``g`` with cdf ``G``
-    and derivatives ``dg``, ``d2g``.  All vectorized callables.
+    ``df0``, ``d2f0``; censoring density ``g`` with derivatives ``dg``,
+    ``d2g``.  All vectorized callables.
     ``sample_x`` and ``sample_t`` draw from the two laws given a
     generator and a count.
     """
@@ -39,13 +39,9 @@ class TruthSpec:
     f0: Callable
     df0: Callable
     d2f0: Callable
-    d3f0: Callable
     g: Callable
-    G: Callable
     dg: Callable
     d2g: Callable
-    support_x: tuple[float, float]
-    support_t: tuple[float, float]
     sample_x: Callable
     sample_t: Callable
 
@@ -64,46 +60,39 @@ class GeneratedSample:
     seed: int
 
 
-def _shifted_gamma4_F0(x):
+def _shifted(x):
+    """``x`` as an array and ``s = x - 2`` clipped to [0, 1e3].  Beyond
+    ``s = 745.2`` ``exp(-s)`` is already 0.0, so the upper clip changes no
+    finite value of the forms below; it keeps their polynomials in ``s``
+    finite, where ``0 * inf`` would make nan."""
     x = np.asarray(x, dtype=float)
-    s = np.maximum(x - 2.0, 0.0)
+    return x, np.clip(x - 2.0, 0.0, 1e3)
+
+
+def _shifted_gamma4_F0(x):
+    x, s = _shifted(x)
     tail = np.exp(-s) * (1.0 + s * (1.0 + s * (0.5 + s / 6.0)))
     return np.where(x < 2.0, 0.0, 1.0 - tail)
 
 
 def _shifted_gamma4_f0(x):
-    x = np.asarray(x, dtype=float)
-    s = np.maximum(x - 2.0, 0.0)
+    x, s = _shifted(x)
     return np.where(x < 2.0, 0.0, s**3 * np.exp(-s) / 6.0)
 
 
 def _shifted_gamma4_df0(x):
-    x = np.asarray(x, dtype=float)
-    s = np.maximum(x - 2.0, 0.0)
+    x, s = _shifted(x)
     return np.where(x < 2.0, 0.0, s**2 * (3.0 - s) * np.exp(-s) / 6.0)
 
 
 def _shifted_gamma4_d2f0(x):
-    x = np.asarray(x, dtype=float)
-    s = np.maximum(x - 2.0, 0.0)
+    x, s = _shifted(x)
     return np.where(x < 2.0, 0.0, s * (6.0 - 6.0 * s + s * s) * np.exp(-s) / 6.0)
-
-
-def _shifted_gamma4_d3f0(x):
-    x = np.asarray(x, dtype=float)
-    s = np.maximum(x - 2.0, 0.0)
-    poly = 6.0 - 18.0 * s + 9.0 * s * s - s**3
-    return np.where(x < 2.0, 0.0, poly * np.exp(-s) / 6.0)
 
 
 def _exp3_g(t):
     t = np.asarray(t, dtype=float)
     return np.where(t < 0.0, 0.0, np.exp(-t / 3.0) / 3.0)
-
-
-def _exp3_G(t):
-    t = np.asarray(t, dtype=float)
-    return np.where(t < 0.0, 0.0, 1.0 - np.exp(-t / 3.0))
 
 
 def _exp3_dg(t):
@@ -135,13 +124,9 @@ def truth_gamma4_exp3() -> TruthSpec:
         f0=_shifted_gamma4_f0,
         df0=_shifted_gamma4_df0,
         d2f0=_shifted_gamma4_d2f0,
-        d3f0=_shifted_gamma4_d3f0,
         g=_exp3_g,
-        G=_exp3_G,
         dg=_exp3_dg,
         d2g=_exp3_d2g,
-        support_x=(2.0, np.inf),
-        support_t=(0.0, np.inf),
         sample_x=_sample_shifted_gamma4,
         sample_t=_sample_exp3,
     )

@@ -44,19 +44,16 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .errors import GridTooCoarse, InputError, NonpositiveBandwidth, OutOfDomain
-from .kernels import Kernel, boundary_family
+from .errors import InputError, OutOfDomain
+from .kernels import Kernel, boundary_family, check_bandwidth
 from .mle import ObservedSample
 
 __all__ = ["SmoothedMeasures", "fit_smoothed"]
 
 _poly = np.polynomial.polynomial
 
-_DEFAULT_CELLS_PER_BANDWIDTH = 32
-# Minimum grid resolution: a bandwidth must span at least 16 cells,
-# otherwise the trapezoid antiderivatives and the finite-difference
-# boundary derivatives lose too much accuracy to be trusted.
-_MIN_CELLS_PER_BANDWIDTH = 16
+# Grid cells per bandwidth K: the spacing is h / K.
+_CELLS = 32
 # A fit keeps about 160 bytes per node (the grid, g0, g1, g and the
 # binned moments), 210 once its derivatives and antiderivatives are read,
 # and peaks near 290 as a chunk of its own, so the ceiling bounds one fit
@@ -197,25 +194,10 @@ class SmoothedMeasures:
         return out
 
 
-def _check_bandwidth(span: float, h, grid_spec) -> tuple[float, int, int]:
-    """``(h, nodes, K)`` of the grid ``i * h / K`` over ``[0, span + h]``,
-    checked before anything is allocated: ``h > 0``, and ``grid_spec`` is
-    None (``K = 32`` cells per bandwidth) or an integer ``K >= 16``."""
-    if not (np.isfinite(h) and h > 0.0):
-        raise NonpositiveBandwidth(f"bandwidth must be positive, got {h!r}")
-    if grid_spec is None:
-        cells = _DEFAULT_CELLS_PER_BANDWIDTH
-    elif isinstance(grid_spec, (int, np.integer)):
-        cells = int(grid_spec)
-    else:
-        raise InputError(
-            "grid_spec must be None or an integer number of cells per bandwidth,"
-            f" got {grid_spec!r}"
-        )
-    if cells < _MIN_CELLS_PER_BANDWIDTH:
-        raise GridTooCoarse(
-            f"{cells} grid cells per bandwidth, fewer than {_MIN_CELLS_PER_BANDWIDTH}"
-        )
+def _check_bandwidth(span: float, h, cells: int) -> tuple[float, int]:
+    """``(h, nodes)`` of the grid ``i * h / cells`` over ``[0, span + h]``,
+    checked before anything is allocated."""
+    check_bandwidth(h)
     h = float(h)
     nodes = np.ceil((span + h) / (h / cells) - 1e-9) + 1.0
     if not nodes <= _MAX_GRID_NODES:
@@ -223,7 +205,7 @@ def _check_bandwidth(span: float, h, grid_spec) -> tuple[float, int, int]:
             f"bandwidth {h:.6g} over [0, {span + h:.6g}] needs {nodes:.3g} grid nodes,"
             f" more than the ceiling {_MAX_GRID_NODES}"
         )
-    return h, int(nodes), cells
+    return h, int(nodes)
 
 
 def _offset_table(coefficients: np.ndarray, cells: int) -> np.ndarray:
@@ -323,12 +305,7 @@ def _node_sums(moments: np.ndarray, table: np.ndarray, count: int) -> np.ndarray
     return out
 
 
-def fit_smoothed(
-    sample: ObservedSample,
-    kernel: Kernel,
-    h: float,
-    grid_spec=None,
-) -> SmoothedMeasures:
+def fit_smoothed(sample: ObservedSample, kernel: Kernel, h: float) -> SmoothedMeasures:
     """Tabulate the smoothed measures of a grouped sample.
 
     Parameters
@@ -339,10 +316,8 @@ def fit_smoothed(
     kernel : Kernel
         Base kernel; the boundary-corrected family is derived from it.
     h : float
-        Bandwidth, strictly positive.
-    grid_spec : None or int, optional
-        Grid cells per bandwidth ``K``; the grid is ``i * h / K`` over
-        ``[0, T_max + h]``.  None means ``K = 32``.
+        Bandwidth, strictly positive.  The grid is ``i * h / 32`` over
+        ``[0, T_max + h]``.
 
     Returns
     -------
@@ -351,50 +326,47 @@ def fit_smoothed(
     Raises
     ------
     NonpositiveBandwidth
-        If ``h <= 0``.
-    GridTooCoarse
-        If ``K < 16``.
+        If ``h`` is not positive and finite.
     InputError
-        If ``grid_spec`` is not an integer, or the grid would have more
-        than ``2**20`` nodes.
+        If the grid would have more than ``2**20`` nodes.
     """
-    return next(_fit_smoothed_many(sample, kernel, [h], grid_spec))
+    return next(_fit_smoothed_many(sample, kernel, [h]))
 
 
-def _fit_smoothed_many(sample: ObservedSample, kernel: Kernel, hs, grid_spec=None):
+def _fit_smoothed_many(sample: ObservedSample, kernel: Kernel, hs):
     """:func:`fit_smoothed` at each bandwidth of ``hs``, yielded in order,
     in chunks within ``_CHUNK_BUDGET`` observations x bandwidths and moment
     cells, or of one bandwidth.  A bad bandwidth raises its error before
     its chunk allocates anything, once the fits before it are yielded."""
     span = float(sample.times[-1])
+    cells = _CELLS
     chunk, used = [], 0
     for h in hs:
         try:
-            h, nodes, cells = _check_bandwidth(span, h, grid_spec)
+            h, nodes = _check_bandwidth(span, h, cells)
         except InputError:
-            yield from _fit_chunk(sample, kernel, chunk)
+            yield from _fit_chunk(sample, kernel, chunk, cells)
             raise
         # the moment cells of the bandwidth's segment and its gap
         cost = int(span / (h / cells)) + 1 + 2 * cells
         if chunk and max(used + cost, (len(chunk) + 1) * sample.times.size) > _CHUNK_BUDGET:
-            yield from _fit_chunk(sample, kernel, chunk)
+            yield from _fit_chunk(sample, kernel, chunk, cells)
             chunk, used = [], 0
-        chunk.append((h, nodes, cells))
+        chunk.append((h, nodes))
         used += cost
-    yield from _fit_chunk(sample, kernel, chunk)
+    yield from _fit_chunk(sample, kernel, chunk, cells)
 
 
-def _fit_chunk(sample: ObservedSample, kernel: Kernel, chunk: list):
-    """The fits of a chunk of ``(h, nodes, K)``, one segment of the
+def _fit_chunk(sample: ObservedSample, kernel: Kernel, chunk: list, cells: int):
+    """The fits of a chunk of ``(h, nodes)``, one segment of the
     moments each; a fit keeps its segment, copied out of a shared buffer,
     so no chunk buffer outlives the chunk."""
     if not chunk:
         return
-    cells = chunk[0][2]
     tables = _bin_tables(kernel, cells)
     powers = tables.boundary.shape[1]
     weights = np.column_stack([sample.counts - sample.ones, sample.ones]).astype(float)
-    deltas = [h / cells for h, _, _ in chunk]
+    deltas = [h / cells for h, _ in chunk]
     moments, bases = _binned_moments(sample.times, weights, deltas, powers, 2 * cells)
     sizes = np.diff(bases, append=moments.shape[2] + 2 * cells) - 2 * cells
     sums = np.stack([_node_sums(m, tables.k, moments.shape[2] + 2 * cells) for m in moments])
@@ -407,7 +379,7 @@ def _fit_chunk(sample: ObservedSample, kernel: Kernel, chunk: list):
     near = near.transpose(2, 0, 1, 3).reshape(full.size, len(moments), powers * 2 * cells)
     corrected = np.empty((len(chunk), len(moments), cells))
     corrected[full] = near @ tables.boundary.transpose(1, 2, 0).reshape(-1, cells)
-    for (h, nodes, _), base, size, g_near in zip(chunk, bases, sizes, corrected):
+    for (h, nodes), base, size, g_near in zip(chunk, bases, sizes, corrected):
         own = moments[:, :, base : base + size]
         own = own.copy() if len(chunk) > 1 else own
         dens = sums[:, base : base + nodes]

@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from curstat import smoothing
-from curstat.errors import GridTooCoarse, InputError, NonpositiveBandwidth, OutOfDomain
+from curstat.errors import InputError, OutOfDomain
 from curstat.kernels import Kernel, boundary_family, check_bandwidth
 
 
@@ -173,27 +173,14 @@ def binned_moments_vander(times, weights, delta, powers):
     return moments
 
 
-def fit_smoothed_per_h(sample, kernel, h, grid_spec=None):
-    """``fit_smoothed`` as one bandwidth's own fit: the library's earlier
-    route, with the :func:`binned_moments_vander` moments of that
-    bandwidth alone, one convolution per power over them, and one
-    ``np.tensordot`` for the boundary nodes."""
-    if not (np.isfinite(h) and h > 0.0):
-        raise NonpositiveBandwidth(f"bandwidth must be positive, got {h!r}")
+def fit_smoothed_per_h(sample, kernel, h, cells=32):
+    """``fit_smoothed`` as one bandwidth's own fit at ``cells`` grid cells
+    per bandwidth: the library's earlier route, with the
+    :func:`binned_moments_vander` moments of that bandwidth alone, one
+    convolution per power over them, and one ``np.tensordot`` for the
+    boundary nodes."""
+    check_bandwidth(h)
     h = float(h)
-    if grid_spec is None:
-        cells = smoothing._DEFAULT_CELLS_PER_BANDWIDTH
-    elif isinstance(grid_spec, (int, np.integer)):
-        cells = int(grid_spec)
-    else:
-        raise InputError(
-            "grid_spec must be None or an integer number of cells per bandwidth,"
-            f" got {grid_spec!r}"
-        )
-    if cells < smoothing._MIN_CELLS_PER_BANDWIDTH:
-        raise GridTooCoarse(
-            f"{cells} grid cells per bandwidth, fewer than {smoothing._MIN_CELLS_PER_BANDWIDTH}"
-        )
     span = float(sample.times[-1]) + h
     delta = h / cells
     nodes = np.ceil(span / delta - 1e-9) + 1.0

@@ -1,5 +1,7 @@
 """End-to-end tests of the command-line interface."""
 
+import contextlib
+import io
 import json
 
 import numpy as np
@@ -456,6 +458,26 @@ def test_huge_sample_size_exits_2_before_drawing(tmp_path, capsys, argv):
     assert not (tmp_path / "out.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--method", "smle", "--n", "50", "--t", "4", "--h", "1"],
+        ["reproduce-table1", "--n", "80", "--m", "40"],
+        ["bandwidth", "--t", "4", "--m", "50", "--c0", "10"],
+        ["estimate", "--method", "smle", "--select-bootstrap", "--t", "4", "--m", "50", "--c0", "10"],
+    ],
+    ids=["simulate", "reproduce-table1", "bandwidth", "estimate"],
+)
+def test_huge_replicate_count_exits_2_before_drawing(tmp_path, capsys, argv):
+    # each replicate keeps a row of the MSE curve, and the loop would not end
+    if argv[0] in ("bandwidth", "estimate"):
+        argv = argv[:1] + ["--input", _sample_csv(tmp_path / "obs.csv", n=150, seed=3)] + argv[1:]
+    out = tmp_path / "out"
+    assert main(argv + ["--B", "100000000000", "--output", str(out)]) == 2
+    assert capsys.readouterr().err == "input error: --B must be at most 65536, got 100000000000\n"
+    assert not out.exists()
+
+
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize(
     "argv, code, message",
@@ -648,6 +670,19 @@ def test_simulate_true_hazard_undefined_exits_3(capsys):
     )
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("target, theta0", [("F", "1"), ("f", "0")])
+def test_simulate_at_a_huge_point_has_a_finite_truth(tmp_path, capsys, target, theta0):
+    out = tmp_path / "sim.csv"
+    rc = main([
+        "simulate", "--method", "smle", "--target", target, "--n", "50", "--B", "2",
+        "--t", "1e308", "--h", "1", "--output", str(out),
+    ])
+    assert rc == 0
+    assert capsys.readouterr().err == ""
+    assert f"# theta0 = {theta0}, " in out.read_text()
+
+
 def test_simulate_mle_needs_no_bandwidth(tmp_path):
     out = tmp_path / "sim.csv"
     rc = main([
@@ -692,6 +727,85 @@ def test_reproduce_table1_validation(capsys):
     assert main(["reproduce-table1", "--n", "10", "--m", "20", "--B", "1"]) == 2
     assert main(["reproduce-table1", "--c0-set", "5,-1"]) == 2
     capsys.readouterr()
+
+
+# Flag values for the fuzz tests below.  Sizes that pass their checks are
+# kept small, so that a run takes milliseconds.
+_EDGE = st.sampled_from(["0", "-1", "inf", "-inf", "nan", "1e308", "-1e308", "1e-308"])
+_EDGE_SIZE = st.sampled_from(["0", "-1", "100000000000"])
+
+
+@st.composite
+def _flags(draw, plausible: dict, edge: dict) -> list:
+    """``--flag=value`` for each flag of ``plausible``, the value drawn from
+    its strategy, except that at most one flag takes a value of ``edge``.
+    The ``=`` form lets argparse take a value like ``-inf``."""
+    values = {flag: draw(strategy) for flag, strategy in plausible.items()}
+    bad = draw(st.sampled_from([None, *edge]))
+    if bad is not None:
+        values[bad] = draw(edge[bad])
+    return [f"--{flag}={value}" for flag, value in values.items()]
+
+
+def _run_fuzzed(tmp_path_factory, argv):
+    """Run the CLI: it exits 0, 2 or 3, and writes nothing to stderr but
+    the lines of its errors and warnings."""
+    out = str(tmp_path_factory.getbasetemp() / "flag-fuzz.out")
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        rc = main(argv + ["--output", out])
+    assert rc in (0, 2, 3)
+    for line in err.getvalue().splitlines():
+        assert line.startswith(("input error: ", "domain error: ", "warning: ")), line
+
+
+def _simulate_flags(width: str):
+    """The flags of ``simulate``, its bandwidth given by ``--h`` or ``--c``."""
+    return _flags(
+        {
+            "method": st.sampled_from(cli._METHODS),
+            "target": st.sampled_from(cli._TARGETS),
+            "n": st.integers(1, 200),
+            "B": st.integers(1, 2),
+            "t": st.floats(0.0, 12.0),
+            width: st.floats(0.3, 30.0),
+        },
+        {"n": _EDGE_SIZE, "B": _EDGE_SIZE, "t": _EDGE, width: _EDGE},
+    )
+
+
+@settings(max_examples=60)
+@given(flags=st.sampled_from(["h", "c"]).flatmap(_simulate_flags))
+@example(flags=["--method=smle", "--target=F", "--n=50", "--B=2", "--t=1e308", "--h=1"])
+@example(flags=["--method=msle", "--target=f", "--n=200", "--B=2", "--t=4", "--c=1e308"])
+@example(flags=["--method=naive", "--target=f", "--n=200", "--B=1", "--t=4", "--h=1e-308"])
+def test_simulate_flags_exit_with_a_message(tmp_path_factory, flags):
+    _run_fuzzed(tmp_path_factory, ["simulate"] + flags)
+
+
+@settings(max_examples=20)
+@given(
+    flags=_flags(
+        {
+            "method": st.sampled_from(["msle", "smle"]),
+            "target": st.sampled_from(cli._TARGETS),
+            "n": st.integers(20, 200),
+            "m": st.integers(1, 20),
+            "B": st.integers(1, 2),
+            "c0-set": st.lists(st.sampled_from(["5", "25"]), min_size=1, max_size=2).map(",".join),
+        },
+        {
+            "n": _EDGE_SIZE,
+            "m": _EDGE_SIZE,
+            "B": _EDGE_SIZE,
+            "c0-set": st.lists(_EDGE, min_size=1, max_size=2).map(",".join),
+        },
+    )
+)
+@example(flags=["--method=smle", "--target=f", "--n=60", "--m=30", "--B=1", "--c0-set=1e-308"])
+@example(flags=["--method=msle", "--target=F", "--n=60", "--m=30", "--B=1", "--c0-set=25,nan"])
+def test_reproduce_table1_flags_exit_with_a_message(tmp_path_factory, flags):
+    _run_fuzzed(tmp_path_factory, ["reproduce-table1"] + flags)
 
 
 def test_argparse_errors_exit_2():

@@ -1,5 +1,7 @@
 """Tests for the naive, hull-monotonized, and kernel-smoothed estimators."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import example, given
@@ -15,6 +17,7 @@ from curstat.errors import (
     OutOfDomain,
 )
 from curstat.estimators import (
+    F_CEILING,
     fit_msle,
     msle_F,
     msle_f,
@@ -52,8 +55,8 @@ def _draw(rng, n):
     return _records(t, (x <= t).astype(float))
 
 
-def _fit(rng, n, h, grid_spec=None):
-    return fit_smoothed(build_sample(_draw(rng, n)), KERNEL, h, grid_spec)
+def _fit(rng, n, h):
+    return fit_smoothed(build_sample(_draw(rng, n)), KERNEL, h)
 
 
 # ---------------------------------------------------------------------------
@@ -357,6 +360,26 @@ def test_msle_hazard_guard():
     fit = fit_msle(sm)
     with pytest.raises(HazardDenominatorViolation):
         msle_lambda(fit, 3.0)
+
+
+@pytest.mark.parametrize("family", ["naive", "msle", "smle"])
+def test_guard_and_evaluator_agree_at_the_hazard_ceiling(family):
+    # At F = 1 - F_CEILING, 1 - F rounds above F_CEILING, so the guard
+    # keeps the points and the evaluator must not refuse them.
+    F = 1.0 - F_CEILING
+    times = np.linspace(1.0, 5.0, 40)
+    sample = build_sample(_records(times, np.ones_like(times)))
+    mle = StepDistribution(np.array([1.0]), np.array([F]))
+    fits = estimators._Fits(sample, KERNEL, 1.0, mle)
+    if family == "naive":
+        sm = fits.sm
+        fits.sm = dataclasses.replace(sm, g=np.ones_like(sm.g), g1=np.full_like(sm.g1, F))
+    if family == "msle":
+        fits.hull = dataclasses.replace(fits.hull, F_tab=np.full_like(fits.hull.F_tab, F))
+    t = np.array([2.5, 3.0, 3.5])
+    values, messages = estimators._guarded(family, "lambda", fits, t)
+    assert messages == []
+    assert np.all(np.isfinite(values))
 
 
 def _outcome(fn, *args):

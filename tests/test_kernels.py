@@ -63,33 +63,8 @@ _KERNELS = (
 )
 
 
-@given(u=st.floats(allow_nan=False))
-@example(u=1.0)
-@example(u=-1.0)
-@example(u=float(np.nextafter(1.0, 2.0)))
-@example(u=float(np.nextafter(-1.0, -2.0)))
-@example(u=float(np.nextafter(1.0, 0.0)))
-@example(u=float(np.nextafter(-1.0, 0.0)))
-@example(u=-0.9999999999999973)  # the triweight K sum rounds below 0 here
-@example(u=0.0)
-@example(u=-0.0)
-@example(u=1e-300)
-@example(u=-1e-300)
-@example(u=1e300)
-@example(u=-1e300)
-def test_float_branch_matches_one_element_array(u):
-    for kern in _KERNELS:
-        for fn in (kern.K, kern.k):
-            got = fn(u)
-            assert type(got) is float, (kern.name, fn)
-            with np.errstate(all="ignore"):  # numpy warns where u * u overflows
-                want = fn(np.array([u])).tobytes()
-                numpy_scalar = fn(np.float64(u))
-            assert np.array([got]).tobytes() == want, (kern.name, fn)
-            assert np.array([numpy_scalar]).tobytes() == want, (kern.name, fn)
-
-
-# the examples of the float branch above, as u = (0.0 - tau) / 1.0
+# kernel arguments at and next to the support ends, signed zeros, and
+# extremes, as u = (0.0 - tau) / 1.0
 _SPECIAL_U = (
     1.0,
     -1.0,
@@ -97,7 +72,7 @@ _SPECIAL_U = (
     float(np.nextafter(-1.0, -2.0)),
     float(np.nextafter(1.0, 0.0)),
     float(np.nextafter(-1.0, 0.0)),
-    -0.9999999999999973,
+    -0.9999999999999973,  # the triweight K sum rounds below 0 here
     0.0,
     -0.0,
     1e-300,

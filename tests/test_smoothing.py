@@ -9,12 +9,7 @@ from hypothesis import strategies as st
 from scipy.integrate import cumulative_trapezoid
 
 from curstat import smoothing
-from curstat.errors import (
-    GridTooCoarse,
-    InputError,
-    NonpositiveBandwidth,
-    OutOfDomain,
-)
+from curstat.errors import InputError, NonpositiveBandwidth, OutOfDomain
 from curstat.kernels import triweight
 from curstat.mle import build_sample
 from curstat.smoothing import _binned_moments, _fit_smoothed_many, fit_smoothed
@@ -125,7 +120,8 @@ def test_derivative_matches_finite_difference():
         fd = (sm.g[2:] - sm.g[:-2]) / (2.0 * sm.spacing)
         return np.max(np.abs(fd - sm.dg[1:-1])) / np.max(np.abs(sm.dg))
 
-    assert suprel(fit_smoothed(sample, KERNEL, h, grid_spec=64)) < 1e-3
+    with mock.patch.object(smoothing, "_CELLS", 64):
+        assert suprel(fit_smoothed(sample, KERNEL, h)) < 1e-3
     assert suprel(fit_smoothed(sample, KERNEL, h)) < 2e-3
 
 
@@ -205,14 +201,12 @@ def test_bandwidth_and_grid_validation():
         fit_smoothed(sample, KERNEL, 0.0)
     with pytest.raises(NonpositiveBandwidth):
         fit_smoothed(sample, KERNEL, -1.0)
-    # grid_spec is the number of cells per bandwidth, at least 16
-    with pytest.raises(GridTooCoarse):
-        fit_smoothed(sample, KERNEL, 1.0, grid_spec=5)
-    with pytest.raises(GridTooCoarse):
-        fit_smoothed(sample, KERNEL, 1.0, grid_spec=12)
-    for spec in (32.0, 1.0 / 32.0, np.array([0.1, 0.2, 0.3]), np.array([0.0, 1.0, 1.5])):
-        with pytest.raises(InputError):
-            fit_smoothed(sample, KERNEL, 1.0, grid_spec=spec)
+    for h in (np.inf, np.nan):
+        with pytest.raises(NonpositiveBandwidth):
+            fit_smoothed(sample, KERNEL, h)
+    # a numpy float is shown by its value, as the CLI shows a float
+    with pytest.raises(NonpositiveBandwidth, match=r"got -1\.0$"):
+        fit_smoothed(sample, KERNEL, np.float64(-1.0))
 
 
 def test_node_ceiling_rejects_tiny_bandwidth_before_allocating():
@@ -221,18 +215,6 @@ def test_node_ceiling_rejects_tiny_bandwidth_before_allocating():
         fit_smoothed(sample, KERNEL, 1e-7)
     with pytest.raises(InputError, match="grid nodes"):
         fit_smoothed(sample, KERNEL, 1e-300)
-    with pytest.raises(InputError, match="grid nodes"):
-        fit_smoothed(sample, KERNEL, 1.0, grid_spec=2**40)
-
-
-def test_explicit_specs_agree_with_default():
-    sample = build_sample(_records([1.0, 2.5, 3.0, 3.0], [0, 1, 1, 0]))
-    h = 1.0
-    base = fit_smoothed(sample, KERNEL, h)
-    explicit = fit_smoothed(sample, KERNEL, h, grid_spec=32)
-    np.testing.assert_array_equal(base.grid, explicit.grid)
-    np.testing.assert_array_equal(base.g, explicit.g)
-    np.testing.assert_array_equal(base.grid, np.arange(base.grid.size) * (h / 32.0))
 
 
 def test_ties_weighted_like_repeats():
@@ -307,7 +289,8 @@ def _smoothing_cases(draw):
 def test_binned_sums_match_direct_oracle(case):
     h, cells, times, deltas = case
     sample = build_sample(_records(times, deltas))
-    sm = fit_smoothed(sample, KERNEL, h, grid_spec=cells)
+    with mock.patch.object(smoothing, "_CELLS", cells):
+        sm = fit_smoothed(sample, KERNEL, h)
     grid, g0, g1, dg0, dg1 = direct_smoothed(sample, KERNEL, h, cells)
     np.testing.assert_array_equal(sm.grid, grid)
     scale = max(np.max(np.abs(g0)), np.max(np.abs(g1)))
@@ -376,8 +359,10 @@ def _batch_cases(draw):
 def test_batch_matches_per_h_oracle(case):
     cells, times, deltas, hs, budget = case
     sample = build_sample(_records(times, deltas))
-    with mock.patch.object(smoothing, "_CHUNK_BUDGET", budget):
-        fits = list(_fit_smoothed_many(sample, KERNEL, hs, grid_spec=cells))
+    with mock.patch.object(smoothing, "_CHUNK_BUDGET", budget), mock.patch.object(
+        smoothing, "_CELLS", cells
+    ):
+        fits = list(_fit_smoothed_many(sample, KERNEL, hs))
     assert [sm.h for sm in fits] == hs
     for sm in fits:
         want = fit_smoothed_per_h(sample, KERNEL, sm.h, cells)
