@@ -16,139 +16,25 @@ Typical flow::
 or through the ``curstat`` command-line tool.
 """
 
-from .errors import (
-    BadIndicator,
-    CurstatError,
-    DegenerateBias,
-    DegenerateSupport,
-    DensityFloorViolation,
-    DomainError,
-    EmptyGrid,
-    EmptySample,
-    HazardDenominatorViolation,
-    InputError,
-    LengthMismatch,
-    NegativeTime,
-    NonpositiveBandwidth,
-    NonpositiveWeight,
-    OutOfDomain,
-    PilotDegenerate,
-    ZeroCensoringDensity,
-)
-from .kernels import (
-    BoundaryKernelFamily,
-    Kernel,
-    boundary_family,
-    triweight,
-)
-from .mle import (
-    ObservedSample,
-    StepDistribution,
-    build_sample,
-    fit_mle,
-    pava_blocks,
-)
-from .smoothing import SmoothedMeasures, fit_smoothed
-from .estimators import (
-    F_CEILING,
-    G_FLOOR,
-    ConvexHullFit,
-    fit_msle,
-    msle_F,
-    msle_f,
-    msle_lambda,
-    naive_F,
-    naive_f,
-    naive_lambda,
-    smle_F,
-    smle_f,
-    smle_lambda,
-)
-from .bandwidth import (
-    BandwidthPlan,
-    BootstrapConfig,
-    BootstrapSelection,
-    MonteCarloSelection,
-    amse,
-    amse_optimal_c,
-    bias_factor,
-    bootstrap_bandwidth,
-    mc_bandwidth,
-    rate_exponent,
-    variance_factor,
-)
-from .sim import (
-    GeneratedSample,
-    TruthSpec,
-    sample_current_status,
-    truth_gamma4_exp3,
-)
+from .errors import *
+from .kernels import *
+from .mle import *
+from .smoothing import *
+from .estimators import *
+from .bandwidth import *
+from .sim import *
+from . import bandwidth, errors, estimators, kernels, mle, sim, smoothing
 
 __version__ = "0.1.0"
 
+# each module's own __all__ is the one list of its public names
 __all__ = [
     "__version__",
-    # errors
-    "CurstatError",
-    "InputError",
-    "DomainError",
-    "NegativeTime",
-    "BadIndicator",
-    "EmptySample",
-    "LengthMismatch",
-    "NonpositiveWeight",
-    "NonpositiveBandwidth",
-    "EmptyGrid",
-    "OutOfDomain",
-    "DensityFloorViolation",
-    "HazardDenominatorViolation",
-    "DegenerateSupport",
-    "DegenerateBias",
-    "ZeroCensoringDensity",
-    "PilotDegenerate",
-    # kernels
-    "Kernel",
-    "BoundaryKernelFamily",
-    "triweight",
-    "boundary_family",
-    # step MLE
-    "ObservedSample",
-    "StepDistribution",
-    "build_sample",
-    "fit_mle",
-    "pava_blocks",
-    # smoothed measures
-    "SmoothedMeasures",
-    "fit_smoothed",
-    # estimators
-    "G_FLOOR",
-    "F_CEILING",
-    "ConvexHullFit",
-    "naive_F",
-    "naive_f",
-    "naive_lambda",
-    "fit_msle",
-    "msle_F",
-    "msle_f",
-    "msle_lambda",
-    "smle_F",
-    "smle_f",
-    "smle_lambda",
-    # bandwidth theory and selection
-    "rate_exponent",
-    "BandwidthPlan",
-    "bias_factor",
-    "variance_factor",
-    "amse",
-    "amse_optimal_c",
-    "BootstrapConfig",
-    "BootstrapSelection",
-    "MonteCarloSelection",
-    "bootstrap_bandwidth",
-    "mc_bandwidth",
-    # simulation truth
-    "TruthSpec",
-    "GeneratedSample",
-    "truth_gamma4_exp3",
-    "sample_current_status",
+    *errors.__all__,
+    *kernels.__all__,
+    *mle.__all__,
+    *smoothing.__all__,
+    *estimators.__all__,
+    *bandwidth.__all__,
+    *sim.__all__,
 ]

@@ -50,6 +50,11 @@ _MAX_SAMPLE_SIZE = 2**20
 # replicate_map keeps one row per replicate, 60 values (about 0.6 kB) on
 # the default c-grid, so those rows stay near 40 MB at the ceiling.
 _MAX_REPLICATES = 2**16
+# Ceiling on the MSE curve values a bootstrap selection keeps, one row
+# of --c-points values per replicate, checked before any draw: 2**22
+# float64 values are 32 MB, and the default 60-point c-grid stays under
+# it for every --B up to _MAX_REPLICATES.
+_MAX_CURVE_VALUES = 2**22
 
 
 def _fmt(x) -> str:
@@ -177,12 +182,6 @@ def _write_text(path: str, text: str) -> None:
         Path(path).write_text(text, encoding="utf-8")
 
 
-def _kernel(name: str):
-    if name != "triweight":
-        raise InputError(f"unknown kernel {name!r}")
-    return triweight()
-
-
 def _split_list(raw: str, allowed: tuple, what: str) -> list:
     items = [s.strip() for s in raw.split(",") if s.strip()]
     if not items:
@@ -254,13 +253,19 @@ def _bootstrap_config(args, what: str) -> BootstrapConfig:
     if missing:
         raise InputError(f"{what} needs {', '.join(missing)}")
     _check_replicates(args.B)
+    c_grid = _explicit_c_grid(args)
+    if c_grid is not None and args.B * c_grid.size > _MAX_CURVE_VALUES:
+        raise InputError(
+            f"--B times --c-points must be at most {_MAX_CURVE_VALUES}, "
+            f"got {args.B} * {c_grid.size}"
+        )
     return BootstrapConfig(
         m=args.m,
         B=args.B,
         c0=args.c0,
         t=args.t,
         seed=args.seed,
-        c_grid=_explicit_c_grid(args),
+        c_grid=c_grid,
     )
 
 
@@ -309,7 +314,7 @@ def _resolve_h(args, method: str, target: str, sample, kernel, cache: dict) -> t
 def cmd_estimate(args) -> int:
     methods = _split_list(args.method, _METHODS, "method")
     targets = _split_list(args.target, _TARGETS, "target")
-    kernel = _kernel(args.kernel)
+    kernel = triweight()
     sample = build_sample(read_observations(args.input))
 
     columns = []
@@ -391,7 +396,7 @@ def cmd_estimate(args) -> int:
         header.append(f"{method}_{target}")
         violations.extend(viols)
 
-    lines = [f"# curstat estimate, input = {args.input}, kernel = {args.kernel}"]
+    lines = [f"# curstat estimate, input = {args.input}, kernel = triweight"]
     lines.append(f"# n = {sample.n}")
     for (method, target), h in sorted(col_h.items()):
         lines.append(f"# h[{method},{target}] = {_fmt(h)}")
@@ -413,7 +418,7 @@ def cmd_estimate(args) -> int:
 
 
 def cmd_bandwidth(args) -> int:
-    kernel = _kernel(args.kernel)
+    kernel = triweight()
     sample = build_sample(read_observations(args.input))
     cfg = _bootstrap_config(args, "the bandwidth command")
     sel = bootstrap_bandwidth(
@@ -425,7 +430,7 @@ def cmd_bandwidth(args) -> int:
         "input": args.input,
         "target": args.target,
         "method": args.method,
-        "kernel": args.kernel,
+        "kernel": "triweight",
         "n": sel.n,
         "m": sel.m,
         "B": sel.B,
@@ -446,15 +451,9 @@ def cmd_bandwidth(args) -> int:
 # simulate
 
 
-def _truth(name: str):
-    if name != "gamma4-exp3":
-        raise InputError(f"unknown truth {name!r}")
-    return truth_gamma4_exp3()
-
-
 def cmd_simulate(args) -> int:
-    truth = _truth(args.truth)
-    kernel = _kernel(args.kernel)
+    truth = truth_gamma4_exp3()
+    kernel = triweight()
     if args.n is None or args.B is None or args.t is None:
         raise InputError("simulate needs --n, --B and --t")
     if args.n < 1 or args.B < 1:
@@ -486,7 +485,7 @@ def cmd_simulate(args) -> int:
     norm_sd = factor * sd
 
     lines = [
-        f"# curstat simulate, truth = {args.truth}, kernel = {args.kernel}",
+        "# curstat simulate, truth = gamma4-exp3, kernel = triweight",
         f"# n = {args.n}, B = {args.B}, t = {_fmt(t_eval)}, "
         f"method = {method}, target = {target}, seed = {args.seed}",
         f"# theta0 = {_fmt(theta0)}, scaling = n^{{{_fmt(2.0 * rate_exponent(target))}}}",
@@ -509,8 +508,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_reproduce_table1(args) -> int:
-    truth = _truth(args.truth)
-    kernel = _kernel(args.kernel)
+    truth = truth_gamma4_exp3()
+    kernel = triweight()
     if args.n < 1 or args.m < 1 or args.B < 1:
         raise InputError("--n, --m and --B must be >= 1")
     if args.n > _MAX_SAMPLE_SIZE:
@@ -572,8 +571,8 @@ def cmd_reproduce_table1(args) -> int:
 
     lines = [
         "# bandwidth constants and bandwidths at the reference points",
-        f"# truth = {args.truth}, target = {target}, method = {args.method}, "
-        f"kernel = {args.kernel}",
+        f"# truth = gamma4-exp3, target = {target}, method = {args.method}, "
+        "kernel = triweight",
         f"# n = {args.n}, m = {args.m}, B = {args.B}, seed = {args.seed}",
         "# bootstrap rows resample one synthetic dataset; mc rows draw fresh samples",
         "row," + ",".join(
@@ -601,7 +600,6 @@ def build_parser() -> argparse.ArgumentParser:
         if input_file:
             p.add_argument("--input", required=True, help="observation CSV (t,delta)")
         p.add_argument("--output", default="-", help="output path, '-' for stdout")
-        p.add_argument("--kernel", default="triweight")
         p.add_argument("--seed", type=int, default=0)
 
     def bootstrap_args(p):
@@ -637,7 +635,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="replication study at a point")
     common(p, input_file=False)
-    p.add_argument("--truth", default="gamma4-exp3")
     p.add_argument("--method", default="smle", choices=_METHODS)
     p.add_argument("--target", default="F", choices=_TARGETS)
     p.add_argument("--n", type=int, help="sample size per replicate")
@@ -652,7 +649,6 @@ def build_parser() -> argparse.ArgumentParser:
         "reproduce-table1", help="bandwidth-constant table for the built-in truth"
     )
     common(p, input_file=False)
-    p.add_argument("--truth", default="gamma4-exp3")
     p.add_argument("--method", default="smle", choices=("msle", "smle"))
     p.add_argument("--target", default="F", choices=_TARGETS)
     p.add_argument("--n", type=int, default=2000)

@@ -69,12 +69,37 @@ def _clears_ceiling(F):
     return (1.0 - F) > F_CEILING
 
 
+def _hazard(F, f, what: str):
+    """The hazard ``f() / (1 - F)`` for a float or array ``F``, raising
+    HazardDenominatorViolation where ``1 - F`` is at or below the ceiling;
+    ``f`` is called only after that check, so its errors come second."""
+    # an empty F has no maximum, and 0.0 clears the ceiling
+    top = F if isinstance(F, float) else float(np.max(F, initial=0.0))
+    if not _clears_ceiling(top):
+        raise HazardDenominatorViolation(
+            f"{what} F reaches {top:.9g}; hazard undefined that close to 1"
+        )
+    return f() / (1.0 - F)
+
+
 def _shaped(values: np.ndarray, t):
     return float(values) if np.ndim(t) == 0 else values
 
 
 # ---------------------------------------------------------------------------
 # naive plug-in ratios
+
+
+def _g_above_floor(sm: SmoothedMeasures, arr: np.ndarray) -> np.ndarray:
+    """The smoothed total density at ``arr``, raising
+    DensityFloorViolation where it is at or below ``G_FLOOR``."""
+    g = np.asarray(sm.eval("g", arr))
+    if np.any(g <= G_FLOOR):
+        bad = float(np.asarray(arr).flat[int(np.argmax(g <= G_FLOOR))])
+        raise DensityFloorViolation(
+            f"smoothed density {np.min(g):.3g} at t={bad:.6g} is below the floor {G_FLOOR}"
+        )
+    return g
 
 
 def naive_F(sm: SmoothedMeasures, t):
@@ -87,12 +112,7 @@ def naive_F(sm: SmoothedMeasures, t):
         below the floor.
     """
     arr = _as_array(t)
-    g = np.asarray(sm.eval("g", arr))
-    if np.any(g <= G_FLOOR):
-        bad = float(np.asarray(arr).flat[int(np.argmax(g <= G_FLOOR))])
-        raise DensityFloorViolation(
-            f"smoothed density {np.min(g):.3g} at t={bad:.6g} is below the floor {G_FLOOR}"
-        )
+    g = _g_above_floor(sm, arr)
     out = np.asarray(sm.eval("g1", arr)) / g
     return _shaped(out, t)
 
@@ -103,12 +123,7 @@ def naive_f(sm: SmoothedMeasures, t):
     May be negative; monotonization is the hull fit's job.
     """
     arr = _as_array(t)
-    g = np.asarray(sm.eval("g", arr))
-    if np.any(g <= G_FLOOR):
-        bad = float(np.asarray(arr).flat[int(np.argmax(g <= G_FLOOR))])
-        raise DensityFloorViolation(
-            f"smoothed density {np.min(g):.3g} at t={bad:.6g} is below the floor {G_FLOOR}"
-        )
+    g = _g_above_floor(sm, arr)
     g1 = np.asarray(sm.eval("g1", arr))
     dg = np.asarray(sm.eval("dg", arr))
     dg1 = np.asarray(sm.eval("dg1", arr))
@@ -124,13 +139,7 @@ def naive_lambda(sm: SmoothedMeasures, t):
     HazardDenominatorViolation
         If the naive distribution value is too close to 1.
     """
-    F = np.asarray(naive_F(sm, _as_array(t)))
-    if not np.all(_clears_ceiling(F)):
-        raise HazardDenominatorViolation(
-            f"naive F reaches {float(np.max(F)):.9g}; hazard undefined that close to 1"
-        )
-    out = np.asarray(naive_f(sm, _as_array(t))) / (1.0 - F)
-    return _shaped(out, t)
+    return _hazard(naive_F(sm, t), lambda: naive_f(sm, t), "naive")
 
 
 # ---------------------------------------------------------------------------
@@ -270,13 +279,7 @@ def msle_f(fit: ConvexHullFit, t):
 
 def msle_lambda(fit: ConvexHullFit, t):
     """Hazard composition of the monotonized pair."""
-    F = np.asarray(msle_F(fit, t))
-    if not np.all(_clears_ceiling(F)):
-        raise HazardDenominatorViolation(
-            f"fitted F reaches {float(np.max(F)):.9g}; hazard undefined that close to 1"
-        )
-    out = np.asarray(msle_f(fit, t)) / (1.0 - F)
-    return _shaped(out, t)
+    return _hazard(msle_F(fit, t), lambda: msle_f(fit, t), "fitted")
 
 
 # ---------------------------------------------------------------------------
@@ -354,14 +357,7 @@ def smle_f(mle: StepDistribution, kernel: Kernel, h: float, t):
 
 def smle_lambda(mle: StepDistribution, kernel: Kernel, h: float, t):
     """Hazard composition of the smoothed MLE pair."""
-    F = smle_F(mle, kernel, h, t)
-    # F >= 0, so an empty evaluation never trips the ceiling
-    top = F if isinstance(F, float) else float(np.max(F, initial=0.0))
-    if not _clears_ceiling(top):
-        raise HazardDenominatorViolation(
-            f"smoothed F reaches {top:.9g}; hazard undefined that close to 1"
-        )
-    return smle_f(mle, kernel, h, t) / (1.0 - F)
+    return _hazard(smle_F(mle, kernel, h, t), lambda: smle_f(mle, kernel, h, t), "smoothed")
 
 
 # ---------------------------------------------------------------------------

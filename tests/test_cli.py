@@ -478,6 +478,38 @@ def test_huge_replicate_count_exits_2_before_drawing(tmp_path, capsys, argv):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["bandwidth", "estimate"])
+def test_huge_curve_exits_2_before_drawing(tmp_path, capsys, monkeypatch, command):
+    # 2**16 replicates of 2**20 c-grid points: 2**36 kept values, 512 GiB
+    def no_draw(*args):
+        raise AssertionError("bootstrap_bandwidth ran")
+
+    monkeypatch.setattr(cli, "bootstrap_bandwidth", no_draw)
+    inp = _sample_csv(tmp_path / "obs.csv", n=150, seed=3)
+    argv = [command, "--input", inp, "--t", "4", "--m", "50", "--B", "65536", "--c0", "10",
+            "--c-min", "1", "--c-max", "100", "--c-points", "1048576"]
+    if command == "estimate":
+        argv += ["--method", "smle", "--select-bootstrap"]
+    out = tmp_path / "out"
+    assert main(argv + ["--output", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "input error: --B times --c-points must be at most 4194304, got 65536 * 1048576\n"
+    )
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "B, c_grid",
+    [(65536, []), (4, ["--c-min", "1", "--c-max", "100", "--c-points", "1048576"])],
+    ids=["default-grid", "at-the-ceiling"],
+)
+def test_curve_ceiling_admits_its_bound(B, c_grid):
+    args = cli.build_parser().parse_args(
+        ["bandwidth", "--input", "-", "--t", "4", "--m", "50", "--B", str(B), "--c0", "10", *c_grid]
+    )
+    assert cli._bootstrap_config(args, "bandwidth").B == B
+
+
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize(
     "argv, code, message",
@@ -808,6 +840,82 @@ def test_reproduce_table1_flags_exit_with_a_message(tmp_path_factory, flags):
     _run_fuzzed(tmp_path_factory, ["reproduce-table1"] + flags)
 
 
+def _fuzz_input(tmp_path_factory) -> str:
+    path = tmp_path_factory.getbasetemp() / "flag-fuzz.csv"
+    if not path.exists():
+        _sample_csv(path, n=150, seed=3)
+    return str(path)
+
+
+def _bootstrap_flags(c_grid: bool) -> tuple[dict, dict]:
+    """Plausible and edge values of ``--t --m --B --c0``, and of the c-grid
+    flags when ``c_grid``."""
+    plausible = {
+        "t": st.floats(0.0, 12.0),
+        "m": st.integers(1, 40),
+        "B": st.integers(1, 2),
+        "c0": st.floats(1.0, 30.0),
+    }
+    edge = {"t": _EDGE, "m": _EDGE_SIZE, "B": _EDGE_SIZE, "c0": _EDGE}
+    if c_grid:
+        plausible.update({
+            "c-min": st.floats(0.5, 5.0),
+            "c-max": st.floats(5.0, 40.0),
+            "c-points": st.integers(1, 4),
+        })
+        edge.update({"c-min": _EDGE, "c-max": _EDGE, "c-points": _EDGE_SIZE})
+    return plausible, edge
+
+
+def _estimate_flags(width: str, c_grid: bool):
+    """The flags of ``estimate``, its bandwidth given by ``--h``, by ``--c``
+    and ``--alpha``, or by ``--select-bootstrap``."""
+    plausible = {
+        "method": st.lists(st.sampled_from(cli._METHODS), min_size=1, max_size=3).map(",".join),
+        "target": st.lists(st.sampled_from(cli._TARGETS), min_size=1, max_size=3).map(",".join),
+        "grid-points": st.integers(2, 60),
+    }
+    edge = {"grid-points": _EDGE_SIZE}
+    if width == "select-bootstrap":
+        more, more_edge = _bootstrap_flags(c_grid)
+        plausible.update(more)
+        edge.update(more_edge)
+        return _flags(plausible, edge).map(lambda flags: flags + ["--select-bootstrap"])
+    plausible[width] = st.floats(0.3, 30.0)
+    edge[width] = _EDGE
+    if width == "c":
+        plausible["alpha"] = st.floats(0.1, 0.3)
+        edge["alpha"] = _EDGE
+    return _flags(plausible, edge)
+
+
+@settings(max_examples=80)
+@given(
+    flags=st.sampled_from(
+        [("h", False), ("c", False), ("select-bootstrap", False), ("select-bootstrap", True)]
+    ).flatmap(lambda choice: _estimate_flags(*choice))
+)
+@example(flags=["--method=mle", "--target=F", "--grid-points=2", "--h=1"])
+@example(flags=["--method=naive,msle", "--target=lambda,f", "--grid-points=5", "--c=2", "--alpha=1e308"])
+def test_estimate_flags_exit_with_a_message(tmp_path_factory, flags):
+    _run_fuzzed(tmp_path_factory, ["estimate", "--input", _fuzz_input(tmp_path_factory)] + flags)
+
+
+def _bandwidth_flags(c_grid: bool):
+    plausible, edge = _bootstrap_flags(c_grid)
+    plausible["method"] = st.sampled_from(["msle", "smle"])
+    plausible["target"] = st.sampled_from(cli._TARGETS)
+    return _flags(plausible, edge)
+
+
+@settings(max_examples=60)
+@given(flags=st.booleans().flatmap(_bandwidth_flags))
+@example(flags=["--t=4", "--m=30", "--B=1", "--c0=10", "--method=msle", "--target=f",
+                "--c-min=3", "--c-max=3", "--c-points=2"])
+def test_bandwidth_flags_exit_with_a_message(tmp_path_factory, flags):
+    _run_fuzzed(tmp_path_factory, ["bandwidth", "--input", _fuzz_input(tmp_path_factory)] + flags)
+
+
 def test_argparse_errors_exit_2():
     with pytest.raises(SystemExit) as exc:
         main(["estimate"])
@@ -815,3 +923,19 @@ def test_argparse_errors_exit_2():
     with pytest.raises(SystemExit) as exc:
         main(["bogus-command"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["estimate", "--input", "obs.csv", "--kernel", "triweight"],
+        ["simulate", "--n", "10", "--B", "1", "--t", "4", "--h", "1", "--truth", "gamma4-exp3"],
+    ],
+    ids=["kernel", "truth"],
+)
+def test_removed_flags_exit_2(capsys, argv):
+    # the one kernel and the one simulation truth are built in
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --" in capsys.readouterr().err
