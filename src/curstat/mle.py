@@ -17,15 +17,27 @@ solver's floating-point means.  :func:`pava_blocks` is the general
 weighted solver on the same compiled code; its block sizes, and the
 input kept bit for bit wherever nothing is pooled, are part of its
 contract.
+
+The solver is Busing's O(n) pool-adjacent-violators algorithm (JSS
+102(1), 2022), the compiled core of ``scipy.optimize.isotonic_regression``.
+It is loaded straight from its extension file,
+``scipy/optimize/_pava_pybind``, because importing ``scipy.optimize``
+would also load ``scipy.linalg`` and the rest of the package, most of
+the start-up time of every command.  Where that file is not found, the
+same function is imported from its private module the usual way.  Both
+routes rely on the private ``pava(x, w, r)`` signature, which the CI job
+at the scipy 1.12 floor guards.
 """
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
+import os
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.optimize import isotonic_regression
 
 from .errors import (
     BadIndicator,
@@ -34,6 +46,7 @@ from .errors import (
     LengthMismatch,
     NegativeTime,
     NonpositiveWeight,
+    OutOfDomain,
 )
 
 __all__ = [
@@ -43,6 +56,43 @@ __all__ = [
     "fit_mle",
     "pava_blocks",
 ]
+
+
+def _load_pava():
+    """scipy's compiled ``pava(x, w, r)``, without importing scipy.optimize."""
+    # scipy's own module name: the init function is found by it, and a later
+    # import of scipy.optimize gets this same loaded extension
+    name = "scipy.optimize._pava_pybind"
+    spec = importlib.util.find_spec("scipy")
+    if spec is not None and spec.submodule_search_locations:
+        folder = os.path.join(spec.submodule_search_locations[0], "optimize")
+        for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+            path = os.path.join(folder, "_pava_pybind" + suffix)
+            if os.path.isfile(path):
+                loader = importlib.machinery.ExtensionFileLoader(name, path)
+                spec = importlib.util.spec_from_loader(name, loader)
+                module = importlib.util.module_from_spec(spec)
+                loader.exec_module(module)
+                return module.pava
+    from scipy.optimize._pava_pybind import pava
+
+    return pava
+
+
+_pava = _load_pava()
+
+
+def _isotonic(y, w) -> tuple[np.ndarray, np.ndarray]:
+    """Increasing weighted isotonic fit, as scipy's ``isotonic_regression``.
+
+    Returns the fit and the block boundaries: block j is
+    ``blocks[j]:blocks[j + 1]``.  The weights must be positive and finite.
+    """
+    x = np.array(y, order="C", dtype=np.float64, copy=True)
+    w = np.array(w, order="C", dtype=np.float64, copy=True)
+    r = np.full(x.shape[0] + 1, -1, dtype=np.intp)
+    x, w, r, b = _pava(x, w, r)
+    return x, r[: b + 1]
 
 
 @dataclass(frozen=True)
@@ -134,8 +184,16 @@ class StepDistribution:
         return float(self.values[-1]) if len(self.values) else 0.0
 
     def cdf(self, t):
-        """Evaluate at scalar or array ``t``."""
+        """Evaluate at scalar or array ``t``.
+
+        Raises
+        ------
+        OutOfDomain
+            If any point is nan.
+        """
         t = np.asarray(t, dtype=float)
+        if np.isnan(t).any():
+            raise OutOfDomain("evaluation points must not be nan")
         if len(self.values) == 0:
             out = np.zeros_like(t)
         else:
@@ -152,7 +210,7 @@ def fit_mle(sample: ObservedSample) -> StepDistribution:
     where that value increases.
     """
     ones, counts = sample.ones, sample.counts
-    starts = isotonic_regression(ones / counts, weights=counts).blocks[:-1]
+    starts = _isotonic(ones / counts, counts)[1][:-1]
     values = np.add.reduceat(ones, starts) / np.add.reduceat(counts, starts)
     jump = values > np.concatenate(([0.0], values[:-1]))
     return StepDistribution(jump_times=sample.times[starts[jump]], values=values[jump])
@@ -178,28 +236,36 @@ def pava_blocks(values, weights) -> tuple[np.ndarray, np.ndarray]:
     ------
     LengthMismatch
         If ``values`` and ``weights`` differ in length.
+    InputError
+        If any value is not finite.
     NonpositiveWeight
-        If any weight is <= 0.
+        If any weight is not a finite number > 0.
     """
     v = np.asarray(values, dtype=float)
     w = np.asarray(weights, dtype=float)
     if v.ndim != 1 or w.ndim != 1 or v.shape != w.shape:
         raise LengthMismatch(f"values and weights must match, got {v.shape} and {w.shape}")
-    if np.any(w <= 0.0):
-        raise NonpositiveWeight("weights must be strictly positive")
+    bad = ~np.isfinite(v)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise InputError(f"value {i} must be finite, got {v[i]}")
+    bad = ~(np.isfinite(w) & (w > 0.0))
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise NonpositiveWeight(f"weight {i} must be finite and > 0, got {w[i]}")
     if np.all(v[1:] >= v[:-1]):
         return v.copy(), np.ones(v.size, dtype=np.int64)
-    fit = isotonic_regression(v, weights=w)
-    starts = fit.blocks[:-1]
-    sizes = np.diff(fit.blocks)
+    x, blocks = _isotonic(v, w)
+    starts = blocks[:-1]
+    sizes = np.diff(blocks)
     # scipy pools equal neighbours too; a block of equal inputs is split
     # back into singletons that keep their input value
     keep = np.maximum.reduceat(v, starts) == np.minimum.reduceat(v, starts)
-    fitted = np.where(np.repeat(keep, sizes), v, fit.x)
+    fitted = np.where(np.repeat(keep, sizes), v, x)
     if np.any(fitted[1:] < fitted[:-1]):
         # rounding put a tied block's pooled mean on the wrong side of a
         # neighbour's; only true singletons are kept then
         keep = sizes == 1
-        fitted = np.where(np.repeat(keep, sizes), v, fit.x)
+        fitted = np.where(np.repeat(keep, sizes), v, x)
     sizes = np.repeat(np.where(keep, 1, sizes), np.where(keep, sizes, 1))
     return fitted, sizes

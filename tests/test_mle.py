@@ -1,16 +1,21 @@
+import importlib.machinery
 import itertools
 
 import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
+from scipy.optimize import isotonic_regression
 
+from curstat import mle
 from curstat.errors import (
     BadIndicator,
     EmptySample,
+    InputError,
     LengthMismatch,
     NegativeTime,
     NonpositiveWeight,
+    OutOfDomain,
 )
 from curstat.estimators import smle_F
 from curstat.kernels import triweight
@@ -127,6 +132,19 @@ def test_fit_mle_all_negative_records():
     assert len(fit.values) == 0
     assert fit.total_mass == 0.0
     assert fit.cdf(5.0) == 0.0
+
+
+def test_cdf_rejects_nan_and_keeps_its_limits():
+    fit = fit_mle(build_sample([(1.0, 1), (2.0, 0), (3.0, 1)]))
+    for t in (float("nan"), [float("nan"), 2.5], [2.5, float("nan")]):
+        with pytest.raises(OutOfDomain, match="nan"):
+            fit.cdf(t)
+    with pytest.raises(OutOfDomain):
+        fit_mle(build_sample([(1.0, 0)])).cdf(float("nan"))
+    assert fit.cdf(-1.0) == 0.0
+    assert fit.cdf(-np.inf) == 0.0
+    assert fit.cdf(np.inf) == 1.0
+    assert np.asarray(fit.cdf([-1.0, np.inf])).tolist() == [0.0, 1.0]
 
 
 def test_fit_mle_known_three_point_case():
@@ -252,6 +270,11 @@ def test_pava_rejects_bad_input():
         pava_blocks([1.0, 2.0], [1.0, 0.0])
     with pytest.raises(NonpositiveWeight):
         pava_blocks([1.0, 2.0], [1.0, -2.0])
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(InputError, match=r"value 1 must be finite"):
+            pava_blocks([1.0, bad, 0.5, bad], [1.0, 1.0, 1.0, 1.0])
+        with pytest.raises(NonpositiveWeight, match=r"weight 1 must be finite and > 0"):
+            pava_blocks([1.0, 0.2, 0.5], [1.0, bad, 1.0])
 
 
 def test_pava_blocks_keeps_equal_inputs_apart():
@@ -362,3 +385,42 @@ def test_pava_blocks_matches_loop_oracle(case):
         bound = max(tol[b - 1], tol[b])
         assert abs(fitted[b] - fitted[b - 1]) <= bound
         assert abs(want[b] - want[b - 1]) <= bound
+
+
+# --- the compiled solver ----------------------------------------------------
+
+@st.composite
+def _isotonic_cases(draw):
+    """_pava_cases, with integer weights sometimes passed as an int array."""
+    y, w = draw(_pava_cases())
+    if np.all(w % 1 == 0) and draw(st.booleans()):
+        w = w.astype(np.int64)
+    return y, w
+
+
+@given(_isotonic_cases())
+@example((np.array([0.3]), np.array([2.0])))
+@example((np.array([0.7] * 6), np.array([3, 1, 4, 1, 5, 9])))
+@example((np.array([0.1, 0.2, 0.2, 0.9]), np.array([1.0, 2.0, 0.5, 1.0])))
+@example((np.array([0.4, 0.4, 0.1, 0.1, 0.6]), np.array([2, 2, 1, 1, 7])))
+def test_isotonic_matches_scipy_bit_for_bit(case):
+    y, w = case
+    x, blocks = mle._isotonic(y, w)
+    want = isotonic_regression(y, weights=w)
+    assert x.tobytes() == want.x.tobytes()
+    assert blocks.tolist() == want.blocks.tolist()
+
+
+def test_pava_from_its_import_gives_the_same_fits(monkeypatch):
+    # with the extension file not found, the solver comes from its module
+    monkeypatch.setattr(importlib.machinery, "EXTENSION_SUFFIXES", [])
+    imported = mle._load_pava()
+    rng = np.random.default_rng(41)
+    for n in (1, 2, 7, 60):
+        y = np.round(rng.normal(size=n), 1)
+        w = rng.uniform(0.1, 3.0, size=n)
+        r = np.full(n + 1, -1, dtype=np.intp)
+        x, _, r, b = imported(y.copy(), w.copy(), r)
+        want, blocks = mle._isotonic(y, w)
+        assert x.tobytes() == want.tobytes()
+        assert r[: b + 1].tolist() == blocks.tolist()
