@@ -54,7 +54,6 @@ from .smoothing import _fit_smoothed_many
 
 __all__ = [
     "rate_exponent",
-    "BandwidthPlan",
     "bias_factor",
     "variance_factor",
     "amse",
@@ -89,31 +88,6 @@ def rate_exponent(target: str) -> float:
     raise ValueError(f"unknown target {target!r}")
 
 
-@dataclass(frozen=True)
-class BandwidthPlan:
-    """A bandwidth written as c * n^(-alpha) for a target and method."""
-
-    target: str
-    method: str
-    c: float
-    n: int
-
-    def __post_init__(self):
-        _check_tm(self.target, self.method)
-        if not self.c > 0.0:
-            raise InputError(f"bandwidth constant must be positive, got {self.c}")
-        if self.n < 1:
-            raise InputError(f"sample size must be >= 1, got {self.n}")
-
-    @property
-    def alpha(self) -> float:
-        return rate_exponent(self.target)
-
-    @property
-    def h(self) -> float:
-        return self.c * self.n ** (-self.alpha)
-
-
 def _check_tm(target: str, method: str) -> None:
     if target not in _TARGETS:
         raise ValueError(f"unknown target {target!r}")
@@ -125,7 +99,8 @@ def bias_factor(target: str, method: str, truth: TruthSpec, t: float) -> float:
     """The constant multiplying (1/2) m2 h^2 in the asymptotic bias."""
     _check_tm(target, method)
     g = float(truth.g(t))
-    if g <= 0.0:
+    # written so that a nan density, as at t = nan, fails too
+    if not g > 0.0:
         raise ZeroCensoringDensity(f"censoring density vanishes at t={t:.6g}")
     F0 = float(truth.F0(t))
     f0 = float(truth.f0(t))
@@ -157,7 +132,7 @@ def variance_factor(target: str, truth: TruthSpec, t: float, kernel: Kernel) -> 
     if target not in _TARGETS:
         raise ValueError(f"unknown target {target!r}")
     g = float(truth.g(t))
-    if g <= 0.0:
+    if not g > 0.0:
         raise ZeroCensoringDensity(f"censoring density vanishes at t={t:.6g}")
     F0 = float(truth.F0(t))
     if target == "F":
@@ -184,8 +159,8 @@ def amse(
         )
     V = variance_factor(target, truth, t, kernel)
     carr = np.asarray(c, dtype=float)
-    if np.any(carr <= 0.0):
-        raise InputError("bandwidth constants must be positive")
+    if not np.all((carr > 0.0) & (carr < math.inf)):
+        raise InputError("bandwidth constants must be positive and finite")
     p = _power(target)
     out = 0.25 * carr**4 * kernel.m2**2 * b * b + carr ** (-p) * V
     return float(out) if np.ndim(c) == 0 else out

@@ -42,6 +42,9 @@ from ._threads import replicate_map
 _METHODS = ("mle", "naive", "msle", "smle")
 _TARGETS = ("F", "f", "lambda")
 _TABLE_POINTS = (4.0, 6.5)
+# the bandwidth-theory column of each smoothing family; naive shares the
+# msle asymptotics
+_ORDER = {"naive": "MS", "msle": "MS", "smle": "SM"}
 # Ceiling on a simulated sample size (--n; --m is at most --n), checked
 # before any draw: an MS or naive replicate peaks near 210 bytes per
 # observation, so one replicate at the ceiling stays near 220 MB.
@@ -192,16 +195,6 @@ def _split_list(raw: str, allowed: tuple, what: str) -> list:
     return list(dict.fromkeys(items))
 
 
-def _order_method(method: str) -> str:
-    """Map an estimator family to its bandwidth-theory column."""
-    try:
-        return {"msle": "MS", "smle": "SM"}[method]
-    except KeyError:
-        raise InputError(
-            f"bandwidth selection applies to msle or smle, not {method!r}"
-        ) from None
-
-
 def _child_seed(master: int, index: int) -> int:
     return int(np.random.SeedSequence([master, index]).generate_state(1)[0])
 
@@ -296,8 +289,7 @@ def _resolve_h(args, method: str, target: str, sample, kernel, cache: dict) -> t
     h = _explicit_h(args, target, sample.n)
     if h is not None:
         return h, []
-    # bootstrap selection; naive shares the msle asymptotics
-    order = "SM" if method == "smle" else "MS"
+    order = _ORDER[method]
     key = (order, target)
     if key in cache:
         return cache[key], []
@@ -340,6 +332,11 @@ def cmd_estimate(args) -> int:
         raise InputError("bandwidth flags apply only to smoothing methods")
     if args.alpha is not None and args.c is None:
         raise InputError("--alpha only makes sense together with --c")
+    bootstrap = ("t", "m", "B", "c0", "c_min", "c_max", "c_points")
+    stray = [f for f in bootstrap if getattr(args, f) is not None]
+    if stray and not args.select_bootstrap:
+        flags = ", ".join("--" + f.replace("_", "-") for f in stray)
+        raise InputError(f"bootstrap flags {flags} need --select-bootstrap")
     if not 2 <= args.grid_points <= _MAX_GRID_NODES:
         raise InputError(
             f"--grid-points must be in [2, {_MAX_GRID_NODES}], got {args.grid_points}"
@@ -422,7 +419,7 @@ def cmd_bandwidth(args) -> int:
     sample = build_sample(read_observations(args.input))
     cfg = _bootstrap_config(args, "the bandwidth command")
     sel = bootstrap_bandwidth(
-        sample, cfg, args.target, _order_method(args.method), kernel
+        sample, cfg, args.target, _ORDER[args.method], kernel
     )
     _warn_if_at_edge("bandwidth", sel, sel.c_hat)
     payload = {
@@ -523,7 +520,7 @@ def cmd_reproduce_table1(args) -> int:
         raise InputError(f"bad --c0-set {args.c0_set!r}") from None
     if not pilot_cs or any(c <= 0 for c in pilot_cs):
         raise InputError("--c0-set needs positive values")
-    target, method = args.target, _order_method(args.method)
+    target, method = args.target, _ORDER[args.method]
     alpha = rate_exponent(target)
 
     sample = sample_current_status(truth, args.n, args.seed).sample

@@ -150,26 +150,21 @@ def naive_lambda(sm: SmoothedMeasures, t):
 class ConvexHullFit:
     """Lower convex hull of the cumulative diagram of smoothed measures.
 
-    The diagram point at grid node i is the rectangle-rule pair
-    ``x_i = sum_{j<=i} g_j * dt``, ``y_i = sum_{j<=i} g1_j * dt`` with
-    the origin prepended, so the hull's left slopes per active node are
-    exactly the pooled means of the naive ratios with weights
-    ``g_j * dt``.  Nodes with zero smoothed density contribute no
-    diagram increment; the fitted distribution value is carried across
-    them.
+    The diagram sits on the grid ``source.grid``: its point at node i is
+    the rectangle-rule pair ``x_i = sum_{j<=i} g_j * dt``,
+    ``y_i = sum_{j<=i} g1_j * dt`` with the origin prepended, so the
+    hull's left slopes per active node are exactly the pooled means of
+    the naive ratios with weights ``g_j * dt``.  Nodes with zero smoothed
+    density contribute no diagram increment; the fitted distribution
+    value is carried across them.
 
     Attributes
     ----------
     source : SmoothedMeasures
-    ccsd_t : ndarray
-        Grid times of the diagram points, one entry per node.
-    ccsd_x, ccsd_y : ndarray
-        Diagram coordinates per node, computed on first read.
     hull_vertices : ndarray of int
         Node indices where the hull touches the diagram (block ends;
-        the origin is an implicit extra vertex).
-    segment_slopes : ndarray
-        Slope of each hull segment, nondecreasing.
+        the origin is an implicit extra vertex).  The slope of each hull
+        segment is ``F_tab[hull_vertices]``, nondecreasing.
     touch_mask : ndarray of bool
         Per node: the node is an active singleton block, i.e. the hull
         coincides with the diagram locally and the fitted value equals
@@ -179,19 +174,9 @@ class ConvexHullFit:
     """
 
     source: SmoothedMeasures
-    ccsd_t: np.ndarray
     hull_vertices: np.ndarray
-    segment_slopes: np.ndarray
     touch_mask: np.ndarray
     F_tab: np.ndarray
-
-    @cached_property
-    def ccsd_x(self) -> np.ndarray:
-        return np.cumsum(self.source.g * self.source.spacing)
-
-    @cached_property
-    def ccsd_y(self) -> np.ndarray:
-        return np.cumsum(self.source.g1 * self.source.spacing)
 
 
 def fit_msle(sm: SmoothedMeasures) -> ConvexHullFit:
@@ -212,9 +197,7 @@ def fit_msle(sm: SmoothedMeasures) -> ConvexHullFit:
     naive = sm.g1[active] / sm.g[active]
     fitted, sizes = pava_blocks(naive, w[active])
 
-    ends = np.cumsum(sizes) - 1
-    vertices = active[ends]
-    slopes = fitted[ends]
+    vertices = active[np.cumsum(sizes) - 1]
 
     touch = np.zeros(grid.size, dtype=bool)
     touch[active[np.repeat(sizes == 1, sizes)]] = True
@@ -232,19 +215,12 @@ def fit_msle(sm: SmoothedMeasures) -> ConvexHullFit:
     F_tab = F_tab[carry]
     F_tab[lead] = fitted[0]
 
-    return ConvexHullFit(
-        source=sm,
-        ccsd_t=grid,
-        hull_vertices=vertices,
-        segment_slopes=slopes,
-        touch_mask=touch,
-        F_tab=F_tab,
-    )
+    return ConvexHullFit(source=sm, hull_vertices=vertices, touch_mask=touch, F_tab=F_tab)
 
 
 def _node_index(fit: ConvexHullFit, arr: np.ndarray) -> np.ndarray:
-    idx = np.searchsorted(fit.ccsd_t, arr, side="left")
-    return np.minimum(idx, fit.ccsd_t.size - 1)
+    grid = fit.source.grid
+    return np.minimum(np.searchsorted(grid, arr, side="left"), grid.size - 1)
 
 
 def msle_F(fit: ConvexHullFit, t):
@@ -266,8 +242,9 @@ def msle_f(fit: ConvexHullFit, t):
     """
     arr = _as_array(t)
     a = np.atleast_1d(arr)
-    idx = np.searchsorted(fit.ccsd_t, a, side="left")
-    inside = idx < fit.ccsd_t.size
+    grid = fit.source.grid
+    idx = np.searchsorted(grid, a, side="left")
+    inside = idx < grid.size
     touched = np.zeros(a.shape, dtype=bool)
     touched[inside] = fit.touch_mask[idx[inside]]
     out = np.zeros(a.shape)

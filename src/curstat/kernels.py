@@ -60,7 +60,8 @@ class Kernel:
     Attributes
     ----------
     name : str
-        Identifier used by the CLI and by caches.
+        Label of the kernel.  It is part of the kernel's equality and
+        hash, so of the key of the per-kernel caches.
     coefficients : tuple of float
         ``k(u) = sum_j coefficients[j] * u**j`` on [-1, 1] and 0 outside.
         The polynomial must be even and integrate to one.
@@ -220,7 +221,7 @@ class BoundaryKernelFamily:
         if i not in (0, 1, 2):
             raise ValueError(f"moment order must be 0, 1, or 2, got {i}")
         beta = np.asarray(beta, dtype=float)
-        if np.any(beta < 0.0) or np.any(beta > 1.0):
+        if not np.all((beta >= 0.0) & (beta <= 1.0)):
             raise OutOfDomain("beta must lie in [0, 1]")
         return _poly.polyval(beta, self._nu[i])
 

@@ -179,10 +179,6 @@ class StepDistribution:
         """``jump_times`` as a list of Python floats (computed once)."""
         return self.jump_times.tolist()
 
-    @property
-    def total_mass(self) -> float:
-        return float(self.values[-1]) if len(self.values) else 0.0
-
     def cdf(self, t):
         """Evaluate at scalar or array ``t``.
 

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from curstat.bandwidth import (
-    BandwidthPlan,
     BootstrapConfig,
     amse,
     amse_optimal_c,
@@ -59,12 +58,8 @@ def test_rate_exponents():
 
 
 def test_plan_bandwidth_values():
-    plan = BandwidthPlan("F", "SM", C_F_SM_4, 10000)
-    assert plan.h == pytest.approx(1.02501027, abs=2e-6)
-    plan = BandwidthPlan("F", "SM", C_F_SM_65, 10000)
-    assert plan.h == pytest.approx(1.65237338, abs=2e-6)
-    with pytest.raises(InputError):
-        BandwidthPlan("F", "SM", -1.0, 100)
+    assert C_F_SM_4 * 10000 ** -rate_exponent("F") == pytest.approx(1.02501027, abs=2e-6)
+    assert C_F_SM_65 * 10000 ** -rate_exponent("F") == pytest.approx(1.65237338, abs=2e-6)
 
 
 def test_optimal_constants_for_distribution_targets():
@@ -153,6 +148,29 @@ def test_domain_guards():
         variance_factor("lambda", TRUTH, 150.0, KERNEL)
     with pytest.raises(InputError):
         amse("F", "SM", TRUTH, 4.0, KERNEL, -2.0)
+
+
+NAN = float("nan")
+
+
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        (lambda: bias_factor("F", "MS", TRUTH, NAN), ZeroCensoringDensity),
+        (lambda: variance_factor("f", TRUTH, NAN, KERNEL), ZeroCensoringDensity),
+        (lambda: amse("F", "SM", TRUTH, NAN, KERNEL, 2.0), ZeroCensoringDensity),
+        (lambda: amse_optimal_c("lambda", "MS", TRUTH, NAN, KERNEL), ZeroCensoringDensity),
+        (lambda: amse("F", "SM", TRUTH, 4.0, KERNEL, NAN), InputError),
+        (lambda: amse("F", "SM", TRUTH, 4.0, KERNEL, [1.0, NAN]), InputError),
+        (lambda: amse("f", "MS", TRUTH, 4.0, KERNEL, np.inf), InputError),
+    ],
+    ids=["bias-t", "variance-t", "amse-t", "optimal-c-t", "amse-c", "amse-c-list", "amse-c-inf"],
+)
+def test_nan_fails_the_theory_range_checks(call, error):
+    # a comparison with nan is False, so each check is written to pass
+    # only on a value in range
+    with pytest.raises(error):
+        call()
 
 
 def test_bootstrap_config_validation():

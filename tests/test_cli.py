@@ -391,6 +391,25 @@ def test_estimate_flag_validation(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "flags, named",
+    [
+        (["--method", "smle", "--h", "1", "--m", "50", "--B", "3", "--t", "4", "--c0", "5"],
+         "--t, --m, --B, --c0"),
+        (["--method", "mle", "--B", "5"], "--B"),
+        (["--method", "msle", "--c", "5", "--c-min", "1", "--c-max", "2", "--c-points", "3"],
+         "--c-min, --c-max, --c-points"),
+    ],
+    ids=["smle-h", "mle", "msle-c"],
+)
+def test_estimate_bootstrap_flags_need_select_bootstrap(tmp_path, capsys, flags, named):
+    inp = _write_csv(tmp_path / "toy.csv", [1.0, 2.0, 3.0], [1, 0, 1])
+    assert main(["estimate", "--input", inp, "--output", "-", "--seed", "3"] + flags) == 2
+    assert capsys.readouterr() == (
+        "", f"input error: bootstrap flags {named} need --select-bootstrap\n"
+    )
+
+
 def test_estimate_tiny_bandwidth_exits_2_before_allocating(tmp_path, capsys):
     # 8.1e9 grid nodes: the node ceiling rejects the bandwidth before any
     # array of that size is requested

@@ -193,6 +193,12 @@ def test_nu_moment_rejects_bad_inputs():
         nu_moment(kern, 0, 1.5)
 
 
+@pytest.mark.parametrize("beta", [float("nan"), [0.5, float("nan")], -0.1, 1.5])
+def test_family_nu_rejects_beta_outside_the_unit_interval(beta):
+    with pytest.raises(OutOfDomain):
+        boundary_family(triweight()).nu(0, beta)
+
+
 # --- boundary kernels -----------------------------------------------------
 
 def test_beta_one_is_base_kernel():

@@ -130,7 +130,6 @@ def test_fit_mle_single_positive_record():
 def test_fit_mle_all_negative_records():
     fit = fit_mle(build_sample([(1.0, 0), (2.0, 0)]))
     assert len(fit.values) == 0
-    assert fit.total_mass == 0.0
     assert fit.cdf(5.0) == 0.0
 
 
@@ -152,7 +151,7 @@ def test_fit_mle_known_three_point_case():
     assert fit.jump_times.tolist() == [1.0, 3.0]
     np.testing.assert_allclose(fit.values, [0.5, 1.0])
     np.testing.assert_allclose(fit.masses, [0.5, 0.5])
-    assert fit.total_mass == 1.0
+    assert fit.values[-1] == 1.0
 
 
 def test_fit_mle_values_monotone_in_unit_interval():
