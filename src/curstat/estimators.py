@@ -179,6 +179,16 @@ class ConvexHullFit:
     F_tab: np.ndarray
 
 
+def _diagram_pava(sm: SmoothedMeasures) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The diagram's active nodes (DegenerateSupport if there are none),
+    and the PAVA fit of the naive ratios on them with its block sizes."""
+    w = sm.g * sm.spacing
+    active = np.flatnonzero(w > 0.0)
+    if active.size == 0:
+        raise DegenerateSupport("smoothed density is zero everywhere on the grid")
+    return (active, *pava_blocks(sm.g1[active] / sm.g[active], w[active]))
+
+
 def fit_msle(sm: SmoothedMeasures) -> ConvexHullFit:
     """Monotonize the naive ratio via the lower convex hull.
 
@@ -188,14 +198,7 @@ def fit_msle(sm: SmoothedMeasures) -> ConvexHullFit:
         If the smoothed density vanishes at every grid node.
     """
     grid = sm.grid
-    dt = sm.spacing
-    w = sm.g * dt
-    active = np.flatnonzero(w > 0.0)
-    if active.size == 0:
-        raise DegenerateSupport("smoothed density is zero everywhere on the grid")
-
-    naive = sm.g1[active] / sm.g[active]
-    fitted, sizes = pava_blocks(naive, w[active])
+    active, fitted, sizes = _diagram_pava(sm)
 
     vertices = active[np.cumsum(sizes) - 1]
 
@@ -216,6 +219,16 @@ def fit_msle(sm: SmoothedMeasures) -> ConvexHullFit:
     F_tab[lead] = fitted[0]
 
     return ConvexHullFit(source=sm, hull_vertices=vertices, touch_mask=touch, F_tab=F_tab)
+
+
+def _msle_F_at(sm: SmoothedMeasures, t: float) -> float:
+    """``msle_F(fit_msle(sm), t)`` at one float ``t``, bit for bit: the fit
+    at the last active node at or before ``t``'s node, else at the first."""
+    if not (math.isfinite(t) and t >= 0.0):
+        raise OutOfDomain(_DOMAIN_MESSAGE)
+    active, fitted, _ = _diagram_pava(sm)
+    node = min(int(np.searchsorted(sm.grid, t)), sm.grid.size - 1)
+    return float(fitted[max(int(np.searchsorted(active, node, side="right")) - 1, 0)])
 
 
 def _node_index(fit: ConvexHullFit, arr: np.ndarray) -> np.ndarray:

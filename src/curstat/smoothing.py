@@ -359,8 +359,8 @@ def _fit_smoothed_many(sample: ObservedSample, kernel: Kernel, hs):
 
 def _fit_chunk(sample: ObservedSample, kernel: Kernel, chunk: list, cells: int):
     """The fits of a chunk of ``(h, nodes)``, one segment of the
-    moments each; a fit keeps its segment, copied out of a shared buffer,
-    so no chunk buffer outlives the chunk."""
+    moments each; a fit keeps a view of its segment of the chunk's
+    buffer, which the chunk budget bounds."""
     if not chunk:
         return
     tables = _bin_tables(kernel, cells)
@@ -381,7 +381,6 @@ def _fit_chunk(sample: ObservedSample, kernel: Kernel, chunk: list, cells: int):
     corrected[full] = near @ tables.boundary.transpose(1, 2, 0).reshape(-1, cells)
     for (h, nodes), base, size, g_near in zip(chunk, bases, sizes, corrected):
         own = moments[:, :, base : base + size]
-        own = own.copy() if len(chunk) > 1 else own
         dens = sums[:, base : base + nodes]
         if size < 2 * cells:
             # shorter than the table: numpy convolves it with the operands

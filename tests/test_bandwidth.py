@@ -23,6 +23,7 @@ from curstat.errors import (
     EmptyGrid,
     HazardDenominatorViolation,
     InputError,
+    OutOfDomain,
     PilotDegenerate,
     ZeroCensoringDensity,
 )
@@ -323,6 +324,21 @@ def test_ms_replicate_raises_the_per_h_loops_first_error(target, t, error):
             evaluate(fit_msle(fit_smoothed_per_h(sample, KERNEL, float(h))), t)
     assert type(got.value) is type(want.value)
     assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("method", ["MS", "SM"])
+@pytest.mark.parametrize("target", ["F", "f", "lambda"])
+@pytest.mark.parametrize("t", [NAN, -1.0, np.inf], ids=["nan", "negative", "inf"])
+def test_bad_point_keeps_its_error_on_every_replicate_route(t, target, method):
+    # every replicate route checks t before it reads a fit; at t = inf the
+    # true hazard is undefined, which mc_bandwidth meets first
+    error, message = OutOfDomain, "evaluation points must be finite and nonnegative"
+    if t == np.inf and target == "lambda":
+        error, message = HazardDenominatorViolation, "F0(t)=1 at t=inf; hazard undefined"
+    with pytest.raises(error) as got:
+        mc_bandwidth(TRUTH, 50, 1, np.array([2.0, 5.0]), t, target, method, KERNEL, 3)
+    assert type(got.value) is error
+    assert str(got.value) == message
 
 
 _SMLE = {"F": smle_F, "f": smle_f, "lambda": smle_lambda}

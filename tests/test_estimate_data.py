@@ -1,22 +1,25 @@
-"""Properties of ``estimate`` on generated data files.
+"""Properties of ``estimate`` and ``bandwidth`` on generated data files.
 
 The flag fuzzes in ``test_cli.py`` draw flags over one fixed input; here
 the input itself is drawn: small files with ties, integer times, two
 far-apart clusters, times near 1e-6 or 1e6, and indicators that are all
 0, all 1, random or a threshold in t.  Every run must end in exit 0, 2
 or 3 with only error and warning lines on stderr, and repeat its bytes;
-every file it writes must hold the estimators' shape properties.
+every file it writes must hold the estimators' shape properties, or the
+selection's.
 """
 
 import contextlib
 import io
+import json
+from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from curstat import cli
-from curstat.bandwidth import rate_exponent
+from curstat.bandwidth import bootstrap_bandwidth, rate_exponent
 from curstat.cli import _fmt, main
 from curstat.estimators import _EVAL, _Fits
 from curstat.kernels import triweight
@@ -51,12 +54,18 @@ def _draw_indicators(kind: str, rng: np.random.Generator, t: np.ndarray) -> np.n
 
 
 @st.composite
-def _requests(draw):
-    """One data file and one ``estimate`` request on it."""
+def _data(draw):
+    """The times and indicators of one data file."""
     n = draw(st.integers(1, 300))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     t = _draw_times(draw(st.sampled_from(_TIMES)), rng, n)
-    d = _draw_indicators(draw(st.sampled_from(_INDICATORS)), rng, t)
+    return t, _draw_indicators(draw(st.sampled_from(_INDICATORS)), rng, t)
+
+
+@st.composite
+def _requests(draw):
+    """One data file and one ``estimate`` request on it."""
+    t, d = draw(_data())
     methods = draw(st.lists(st.sampled_from(cli._METHODS), min_size=1, max_size=4, unique=True))
     targets = draw(st.lists(st.sampled_from(cli._TARGETS), min_size=1, max_size=3, unique=True))
     if "mle" in methods and targets != ["F"]:
@@ -81,6 +90,27 @@ def _requests(draw):
         "width": (width, value),
         "grid_points": draw(st.integers(2, 120)),
     }
+
+
+@st.composite
+def _selections(draw):
+    """One data file and one ``bandwidth`` request on it, its constants
+    on the scale of the times."""
+    t, d = draw(_data())
+    scale = max(float(t.max()), 1.0) / 10.0
+    c_min = scale * draw(st.floats(0.5, 30.0))
+    flags = {
+        "method": draw(st.sampled_from(["msle", "smle"])),
+        "target": draw(st.sampled_from(cli._TARGETS)),
+        "t": float(t.max()) * draw(st.floats(0.0, 1.2)),
+        "m": draw(st.integers(1, 40)),
+        "B": draw(st.integers(1, 3)),
+        "c0": scale * draw(st.floats(0.5, 30.0)),
+        "c-min": c_min,
+        "c-max": c_min * draw(st.sampled_from([1.0, 1.5, 10.0, 100.0])),
+        "c-points": draw(st.integers(1, 8)),
+    }
+    return t, d, flags
 
 
 def _run(argv: list, out) -> tuple:
@@ -186,3 +216,45 @@ def test_estimate_on_drawn_data_keeps_its_properties(tmp_path_factory, req):
         assert line.startswith(("input error: ", "domain error: ", "warning: ")), line
     if written is not None:
         _check_file(req, written.decode("utf-8"), stderr)
+
+
+@settings(max_examples=200)
+@given(req=_selections())
+def test_bandwidth_on_drawn_data_keeps_its_properties(tmp_path_factory, req):
+    t, d, flags = req
+    base = tmp_path_factory.getbasetemp()
+    path = base / "selection-props.csv"
+    path.write_text("t,delta\n" + "".join(f"{a!r},{int(b)}\n" for a, b in zip(t.tolist(), d)))
+    argv = ["bandwidth", "--input", str(path)] + [f"--{k}={v}" for k, v in flags.items()]
+    selections = []
+
+    def spy(*args):
+        selections.append(bootstrap_bandwidth(*args))
+        return selections[-1]
+
+    out = base / "selection-props.out"
+    with mock.patch.object(cli, "bootstrap_bandwidth", spy):
+        first = _run(argv, out)
+        assert _run(argv, out) == first
+    rc, stderr, written = first
+    assert rc in (0, 2, 3)
+    lines = stderr.splitlines()
+    for line in lines:
+        assert line.startswith(("input error: ", "domain error: ", "warning: ")), line
+    if written is None:
+        return
+    got = json.loads(written)
+    sel = selections[0]
+    curve = np.array(got["curve"])
+    assert curve.shape == (flags["c-points"], 2)
+    assert np.all(curve[:, 1] >= 0.0)
+    assert curve[0, 0] <= got["c_hat"] <= curve[-1, 0]
+    # the warning line is the at_edge flag, and names the grid end selected
+    warned = [line for line in lines if line.startswith("warning: bandwidth: selected c = ")]
+    assert len(warned) == sel.at_edge
+    if sel.at_edge:
+        assert got["c_hat"] in (curve[0, 0], curve[-1, 0])
+        assert warned[0].startswith(f"warning: bandwidth: selected c = {_fmt(got['c_hat'])} is the ")
+    n = build_sample(np.column_stack([t, d])).n
+    assert got["c_hat"] == float(_fmt(sel.c_hat))
+    assert got["h_hat"] == float(_fmt(sel.c_hat * n ** -rate_exponent(flags["target"])))

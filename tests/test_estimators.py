@@ -1,6 +1,7 @@
 """Tests for the naive, hull-monotonized, and kernel-smoothed estimators."""
 
 import dataclasses
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 from scipy.integrate import trapezoid
 
-from curstat import estimators
+from curstat import estimators, smoothing
 from curstat.errors import (
     CurstatError,
     DegenerateSupport,
@@ -31,7 +32,7 @@ from curstat.estimators import (
 )
 from curstat.kernels import Kernel, triweight
 from curstat.mle import StepDistribution, build_sample, fit_mle, pava_blocks
-from curstat.smoothing import fit_smoothed
+from curstat.smoothing import _fit_smoothed_many, fit_smoothed
 from oracles import ScaledKernel
 
 KERNEL = triweight()
@@ -226,8 +227,68 @@ def test_msle_degenerate_support():
         g1=np.zeros_like(sm.g1),
         g=np.zeros_like(sm.g),
     )
-    with pytest.raises(DegenerateSupport):
+    with pytest.raises(DegenerateSupport) as want:
         fit_msle(dead)
+    with pytest.raises(DegenerateSupport) as got:
+        estimators._msle_F_at(dead, 4.0)
+    assert str(got.value) == str(want.value)
+
+
+@st.composite
+def _point_read_cases(draw):
+    """A sample with ties, with indicators all 0 or all 1, or far from the
+    origin (leading inactive nodes); its bandwidths in chunks of a drawn
+    budget; and where on each fit's grid to read."""
+    n = draw(st.integers(1, 50))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    times = {
+        "spread": lambda: rng.exponential(3.0, n),
+        "ties": lambda: rng.choice(rng.uniform(0.0, 8.0, 3), n),
+        "far": lambda: rng.uniform(50.0, 60.0, n),
+    }[draw(st.sampled_from(("spread", "ties", "far")))]()
+    deltas = {
+        "zeros": np.zeros(n),
+        "ones": np.ones(n),
+        "mixed": (rng.random(n) < 0.5).astype(float),
+    }[draw(st.sampled_from(("zeros", "ones", "mixed")))]
+    hs = draw(st.lists(st.sampled_from((0.1, 0.5, 1.0, 2.5)), min_size=1, max_size=6))
+    budget = draw(st.sampled_from((0, 600, 8192)))
+    where = draw(st.sampled_from(("zero", "node", "between", "past", "huge", "nan", "negative")))
+    return times, deltas, hs, budget, where, draw(st.floats(0.0, 1.0, exclude_max=True))
+
+
+def _point(grid: np.ndarray, where: str, u: float) -> float:
+    i = int(u * (grid.size - 1))
+    return {
+        "zero": 0.0,
+        "node": float(grid[i]),
+        "between": 0.5 * float(grid[i] + grid[i + 1]),
+        "past": float(grid[-1]) + 1.0 + u,
+        "huge": 1e308,
+        "nan": float("nan"),
+        "negative": -u - 1e-300,
+    }[where]
+
+
+def _outcome(call):
+    try:
+        return np.float64(call()).tobytes()
+    except CurstatError as exc:
+        return type(exc), str(exc)
+
+
+@given(_point_read_cases())
+def test_msle_point_read_equals_the_hull_read(case):
+    # the bandwidth selectors' MS F route: one hull value per fit, with
+    # the bits and errors of msle_F on the whole hull
+    times, deltas, hs, budget, where, u = case
+    sample = build_sample(_records(times, deltas))
+    with mock.patch.object(smoothing, "_CHUNK_BUDGET", budget):
+        fits = [fit_smoothed(sample, KERNEL, hs[0]), *_fit_smoothed_many(sample, KERNEL, hs)]
+    for sm in fits:
+        t = _point(sm.grid, where, u)
+        want = _outcome(lambda: msle_F(fit_msle(sm), t))
+        assert _outcome(lambda: estimators._msle_F_at(sm, t)) == want
 
 
 def test_msle_density_consistency_at_scale():
