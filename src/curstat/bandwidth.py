@@ -46,7 +46,7 @@ from .errors import (
     PilotDegenerate,
     ZeroCensoringDensity,
 )
-from .estimators import _EVAL, _MSLE_EVAL, _SMLE_EVAL, _Fits, _msle_F_at, fit_msle, smle_F  # noqa: F401
+from .estimators import _EVAL, _MSLE_EVAL, _SMLE_EVAL, _Fits, fit_msle, smle_F  # noqa: F401
 from .kernels import Kernel
 from .mle import ObservedSample, build_sample, fit_mle
 from .sim import TruthSpec, _draw
@@ -339,7 +339,7 @@ def _replicate(
     sample, and returns ``family``'s ``target`` estimate at ``t`` for each
     bandwidth in ``hs``.  The evaluator is looked up in its table once per
     replicate; the MLE is fitted once, the smoothed measures of all
-    bandwidths in chunks, and the hull per bandwidth (one value for F).
+    bandwidths in chunks, and the hull per bandwidth.
     """
 
     def body(i: int, rng: np.random.Generator) -> np.ndarray:
@@ -348,9 +348,7 @@ def _replicate(
         evaluate = _EVAL[family][target]
         if family in ("naive", "msle"):
             fits = _fit_smoothed_many(sample, kernel, hs)
-            if (family, target) == ("msle", "F"):
-                evaluate = _msle_F_at
-            elif family == "msle":
+            if family == "msle":
                 fits = map(fit_msle, fits)
             return np.array([evaluate(fit, t) for fit in fits], dtype=float)
         # h enters the call only: no fit or object per bandwidth

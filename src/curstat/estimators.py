@@ -156,37 +156,46 @@ class ConvexHullFit:
     hull's left slopes per active node are exactly the pooled means of
     the naive ratios with weights ``g_j * dt``.  Nodes with zero smoothed
     density contribute no diagram increment; the fitted distribution
-    value is carried across them.
+    value is carried across them.  The fit holds only that PAVA solve;
+    the per-node members are computed on first read.
 
     Attributes
     ----------
     source : SmoothedMeasures
-    hull_vertices : ndarray of int
-        Node indices where the hull touches the diagram (block ends;
-        the origin is an implicit extra vertex).  The slope of each hull
-        segment is ``F_tab[hull_vertices]``, nondecreasing.
-    touch_mask : ndarray of bool
-        Per node: the node is an active singleton block, i.e. the hull
-        coincides with the diagram locally and the fitted value equals
-        the naive ratio bit-for-bit.
-    F_tab : ndarray
-        Fitted distribution value per grid node.
+    active : ndarray of int
+        The diagram's active nodes, where ``g * dt > 0``.
+    fitted : ndarray
+        The hull's left slope at each active node: the PAVA fit of the
+        naive ratios there, with weights ``g * dt``.
+    sizes : ndarray of int
+        The sizes of the fit's pooled blocks, in node order.
     """
 
     source: SmoothedMeasures
-    hull_vertices: np.ndarray
-    touch_mask: np.ndarray
-    F_tab: np.ndarray
+    active: np.ndarray
+    fitted: np.ndarray
+    sizes: np.ndarray
 
+    @cached_property
+    def hull_vertices(self) -> np.ndarray:
+        """Node indices where the hull touches the diagram (block ends;
+        the origin is an implicit extra vertex).  The slope of each hull
+        segment is ``F_tab[hull_vertices]``, nondecreasing."""
+        return self.active[np.cumsum(self.sizes) - 1]
 
-def _diagram_pava(sm: SmoothedMeasures) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The diagram's active nodes (DegenerateSupport if there are none),
-    and the PAVA fit of the naive ratios on them with its block sizes."""
-    w = sm.g * sm.spacing
-    active = np.flatnonzero(w > 0.0)
-    if active.size == 0:
-        raise DegenerateSupport("smoothed density is zero everywhere on the grid")
-    return (active, *pava_blocks(sm.g1[active] / sm.g[active], w[active]))
+    @cached_property
+    def touch_mask(self) -> np.ndarray:
+        """Per node: the node is an active singleton block, i.e. the hull
+        coincides with the diagram locally and the fitted value equals
+        the naive ratio bit-for-bit."""
+        touch = np.zeros(self.source.grid.size, dtype=bool)
+        touch[self.active[np.repeat(self.sizes == 1, self.sizes)]] = True
+        return touch
+
+    @cached_property
+    def F_tab(self) -> np.ndarray:
+        """Fitted distribution value per grid node."""
+        return _fitted_at(self, np.arange(self.source.grid.size))
 
 
 def fit_msle(sm: SmoothedMeasures) -> ConvexHullFit:
@@ -197,43 +206,20 @@ def fit_msle(sm: SmoothedMeasures) -> ConvexHullFit:
     DegenerateSupport
         If the smoothed density vanishes at every grid node.
     """
-    grid = sm.grid
-    active, fitted, sizes = _diagram_pava(sm)
-
-    vertices = active[np.cumsum(sizes) - 1]
-
-    touch = np.zeros(grid.size, dtype=bool)
-    touch[active[np.repeat(sizes == 1, sizes)]] = True
-
-    F_tab = np.empty(grid.size)
-    F_tab[active] = fitted
-    # carry fitted values across inactive nodes; leading inactive nodes
-    # sit before any diagram increment, where the right slope is the
-    # first segment's
-    pos = np.zeros(grid.size, dtype=np.int64)
-    pos[active] = 1
-    carry = np.maximum.accumulate(np.where(pos, np.arange(grid.size), -1))
-    lead = carry < 0
-    carry[lead] = active[0]
-    F_tab = F_tab[carry]
-    F_tab[lead] = fitted[0]
-
-    return ConvexHullFit(source=sm, hull_vertices=vertices, touch_mask=touch, F_tab=F_tab)
+    w = sm.g * sm.spacing
+    active = np.flatnonzero(w > 0.0)
+    if active.size == 0:
+        raise DegenerateSupport("smoothed density is zero everywhere on the grid")
+    return ConvexHullFit(sm, active, *pava_blocks(sm.g1[active] / sm.g[active], w[active]))
 
 
-def _msle_F_at(sm: SmoothedMeasures, t: float) -> float:
-    """``msle_F(fit_msle(sm), t)`` at one float ``t``, bit for bit: the fit
-    at the last active node at or before ``t``'s node, else at the first."""
-    if not (math.isfinite(t) and t >= 0.0):
-        raise OutOfDomain(_DOMAIN_MESSAGE)
-    active, fitted, _ = _diagram_pava(sm)
-    node = min(int(np.searchsorted(sm.grid, t)), sm.grid.size - 1)
-    return float(fitted[max(int(np.searchsorted(active, node, side="right")) - 1, 0)])
-
-
-def _node_index(fit: ConvexHullFit, arr: np.ndarray) -> np.ndarray:
-    grid = fit.source.grid
-    return np.minimum(np.searchsorted(grid, arr, side="left"), grid.size - 1)
+def _fitted_at(fit: ConvexHullFit, nodes):
+    """The fit at the last active node at or before each of ``nodes``;
+    leading inactive nodes sit before any diagram increment, where the
+    right slope is the first segment's."""
+    # the count of active nodes after the first that are at or before a
+    # node is max(searchsorted(active, node, "right") - 1, 0)
+    return fit.fitted[np.searchsorted(fit.active[1:], nodes, side="right")]
 
 
 def msle_F(fit: ConvexHullFit, t):
@@ -242,7 +228,8 @@ def msle_F(fit: ConvexHullFit, t):
     Beyond the tabulated grid the final value is carried.
     """
     arr = _as_array(t)
-    out = fit.F_tab[_node_index(fit, arr)]
+    # the node at or after each point, the last node beyond the grid
+    out = _fitted_at(fit, np.searchsorted(fit.source.grid[:-1], arr))
     return _shaped(out, t)
 
 

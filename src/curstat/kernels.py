@@ -24,7 +24,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .errors import NonpositiveBandwidth, OutOfDomain
+from .errors import InputError, NonpositiveBandwidth, OutOfDomain
 
 __all__ = [
     "Kernel",
@@ -188,10 +188,20 @@ def triweight() -> Kernel:
     return Kernel("triweight", (c, 0.0, -3.0 * c, 0.0, 3.0 * c, 0.0, -c))
 
 
+# The smallest bandwidth accepted: where the data's times all coincide,
+# the node ceiling (which bounds h against the span) does not bind, and
+# below this the smoothed densities (1/h) times their derivatives (1/h^2)
+# overflow the float range.
+_MIN_BANDWIDTH = 1e-100
+
+
 def check_bandwidth(h) -> None:
-    """Raise :class:`NonpositiveBandwidth` unless ``h`` is positive and finite."""
-    if not 0.0 < h < math.inf:
-        raise NonpositiveBandwidth(f"bandwidth must be positive, got {h}")
+    """Raise :class:`NonpositiveBandwidth` unless ``h`` is positive and
+    finite, and :class:`InputError` if it is below ``_MIN_BANDWIDTH``."""
+    if not _MIN_BANDWIDTH <= h < math.inf:
+        if not 0.0 < h < math.inf:
+            raise NonpositiveBandwidth(f"bandwidth must be positive, got {h}")
+        raise InputError(f"bandwidth {h} is below the floor {_MIN_BANDWIDTH:g}")
 
 
 class BoundaryKernelFamily:

@@ -70,7 +70,8 @@ _DOMAIN_MESSAGE = "evaluation points must be finite and nonnegative"
 
 def _as_array(t) -> np.ndarray:
     arr = np.asarray(t, dtype=float)
-    if arr.size and (not np.all(np.isfinite(arr)) or np.any(arr < 0.0)):
+    # nan fails both comparisons; an empty array passes
+    if not ((arr >= 0.0) & (arr < np.inf)).all():
         raise OutOfDomain(_DOMAIN_MESSAGE)
     return arr
 

@@ -11,7 +11,9 @@ library's earlier direct routes to the same quantities, and
 :func:`fit_smoothed_per_h` is its earlier one-bandwidth smoothing, on the
 library's own coefficient tables.  The other borrowing is the
 closed-form boundary moments ``nu`` in :func:`direct_smoothed`, which are
-checked against :func:`nu_moment` on their own.
+checked against :func:`nu_moment` on their own, and the library's PAVA
+solve in :func:`eager_hull`, checked against :func:`pava_blocks_loop`, so
+that the hull's per-node members can be compared bit for bit.
 """
 
 from __future__ import annotations
@@ -22,8 +24,9 @@ from pathlib import Path
 import numpy as np
 
 from curstat import smoothing
-from curstat.errors import InputError, OutOfDomain
+from curstat.errors import DegenerateSupport, InputError, OutOfDomain
 from curstat.kernels import Kernel, boundary_family, check_bandwidth
+from curstat.mle import pava_blocks
 
 
 def hidden_x(truth, n: int, seed) -> np.ndarray:
@@ -379,6 +382,46 @@ def pava_blocks_loop(values, weights):
         mean.append(cm)
     sizes = np.asarray(size, dtype=np.int64)
     return np.repeat(mean, sizes), sizes
+
+
+# The hull fit's per-node members, built eagerly over the whole grid as
+# fit_msle once did, before the fit kept only its PAVA solve.
+
+def eager_hull(sm):
+    """``(hull_vertices, touch_mask, F_tab)`` of ``fit_msle(sm)``, each over
+    the whole grid, with the fit carried across inactive nodes by a running
+    maximum of node indices; DegenerateSupport where no node is active."""
+    grid = sm.grid
+    w = sm.g * sm.spacing
+    active = np.flatnonzero(w > 0.0)
+    if active.size == 0:
+        raise DegenerateSupport("smoothed density is zero everywhere on the grid")
+    fitted, sizes = pava_blocks(sm.g1[active] / sm.g[active], w[active])
+
+    vertices = active[np.cumsum(sizes) - 1]
+
+    touch = np.zeros(grid.size, dtype=bool)
+    touch[active[np.repeat(sizes == 1, sizes)]] = True
+
+    F_tab = np.empty(grid.size)
+    F_tab[active] = fitted
+    pos = np.zeros(grid.size, dtype=np.int64)
+    pos[active] = 1
+    carry = np.maximum.accumulate(np.where(pos, np.arange(grid.size), -1))
+    lead = carry < 0
+    carry[lead] = active[0]
+    F_tab = F_tab[carry]
+    F_tab[lead] = fitted[0]
+    return vertices, touch, F_tab
+
+
+def eager_msle_F(sm, t: float) -> float:
+    """``msle_F(fit_msle(sm), t)`` at one float ``t``: :func:`eager_hull`'s
+    table at the node at or after ``t``, its last value beyond the grid."""
+    F_tab = eager_hull(sm)[2]
+    if not (np.isfinite(t) and t >= 0.0):
+        raise OutOfDomain(smoothing._DOMAIN_MESSAGE)
+    return float(F_tab[min(int(np.searchsorted(sm.grid, t)), F_tab.size - 1)])
 
 
 def read_observations_loop(path: str) -> np.ndarray:

@@ -448,6 +448,35 @@ def test_smle_nonfinite_bandwidth_exits_2(tmp_path, capsys, command, flags, show
     assert not out.exists()
 
 
+def _zero_span_csv(path):
+    # every time at 0: the node ceiling, which bounds h against the data
+    # span, does not bind
+    path.write_text("t,delta\n0,1\n0,0\n0,1\n", encoding="utf-8")
+    return str(path)
+
+
+@pytest.mark.parametrize("target", ["F", "f", "lambda"])
+@pytest.mark.parametrize("method", ["msle", "naive", "smle"])
+@pytest.mark.parametrize("h", ["1e-310", "1e-200"])
+def test_bandwidth_below_the_floor_exits_2(tmp_path, capsys, h, method, target):
+    out = tmp_path / "out.csv"
+    argv = ["estimate", "--input", _zero_span_csv(tmp_path / "obs.csv"), "--method", method]
+    argv += ["--target", target, "--h", h, "--output", str(out)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"input error: bandwidth {h} is below the floor 1e-100\n"
+    assert not out.exists()
+
+
+def test_bandwidth_at_the_floor_writes_finite_cells(tmp_path, capsys):
+    out = tmp_path / "out.csv"
+    argv = ["estimate", "--input", _zero_span_csv(tmp_path / "obs.csv")]
+    argv += ["--method", "msle,naive,smle", "--target", "F,f,lambda", "--h", "1e-100", "--output", str(out)]
+    assert main(argv) == 0
+    assert capsys.readouterr().err == ""
+    cells = np.loadtxt(out, delimiter=",", skiprows=1 + out.read_text().count("#"))
+    assert cells.shape[1] == 10 and np.all(np.isfinite(cells))
+
+
 def test_estimate_huge_grid_points_exit_2_before_allocating(tmp_path, capsys):
     # 1e10 evaluation nodes would be 74.5 GiB per column
     inp = _sample_csv(tmp_path / "obs.csv", n=200, seed=5)

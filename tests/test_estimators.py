@@ -33,7 +33,7 @@ from curstat.estimators import (
 from curstat.kernels import Kernel, triweight
 from curstat.mle import StepDistribution, build_sample, fit_mle, pava_blocks
 from curstat.smoothing import _fit_smoothed_many, fit_smoothed
-from oracles import ScaledKernel
+from oracles import ScaledKernel, eager_hull, eager_msle_F
 
 KERNEL = triweight()
 
@@ -227,11 +227,8 @@ def test_msle_degenerate_support():
         g1=np.zeros_like(sm.g1),
         g=np.zeros_like(sm.g),
     )
-    with pytest.raises(DegenerateSupport) as want:
+    with pytest.raises(DegenerateSupport):
         fit_msle(dead)
-    with pytest.raises(DegenerateSupport) as got:
-        estimators._msle_F_at(dead, 4.0)
-    assert str(got.value) == str(want.value)
 
 
 @st.composite
@@ -270,25 +267,30 @@ def _point(grid: np.ndarray, where: str, u: float) -> float:
     }[where]
 
 
-def _outcome(call):
+def _outcome(fn, *args):
+    """The value, or the class and message of the library error raised."""
     try:
-        return np.float64(call()).tobytes()
+        return np.atleast_1d(fn(*args)).tobytes()
     except CurstatError as exc:
         return type(exc), str(exc)
 
 
 @given(_point_read_cases())
-def test_msle_point_read_equals_the_hull_read(case):
-    # the bandwidth selectors' MS F route: one hull value per fit, with
-    # the bits and errors of msle_F on the whole hull
+def test_msle_hull_reads_equal_the_eager_hull(case):
+    # the hull fit keeps only its PAVA solve: msle_F and the members it
+    # derives on first read have the bits and errors of the whole-grid
+    # construction
     times, deltas, hs, budget, where, u = case
     sample = build_sample(_records(times, deltas))
     with mock.patch.object(smoothing, "_CHUNK_BUDGET", budget):
         fits = [fit_smoothed(sample, KERNEL, hs[0]), *_fit_smoothed_many(sample, KERNEL, hs)]
     for sm in fits:
         t = _point(sm.grid, where, u)
-        want = _outcome(lambda: msle_F(fit_msle(sm), t))
-        assert _outcome(lambda: estimators._msle_F_at(sm, t)) == want
+        want = _outcome(eager_msle_F, sm, t)
+        assert _outcome(lambda: msle_F(fit_msle(sm), t)) == want
+        fit = fit_msle(sm)
+        for got, want in zip((fit.hull_vertices, fit.touch_mask, fit.F_tab), eager_hull(sm)):
+            assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
 
 
 def test_msle_density_consistency_at_scale():
@@ -437,19 +439,11 @@ def test_guard_and_evaluator_agree_at_the_hazard_ceiling(family):
         sm = fits.sm
         fits.sm = dataclasses.replace(sm, g=np.ones_like(sm.g), g1=np.full_like(sm.g1, F))
     if family == "msle":
-        fits.hull = dataclasses.replace(fits.hull, F_tab=np.full_like(fits.hull.F_tab, F))
+        fits.hull = dataclasses.replace(fits.hull, fitted=np.full_like(fits.hull.fitted, F))
     t = np.array([2.5, 3.0, 3.5])
     values, messages = estimators._guarded(family, "lambda", fits, t)
     assert messages == []
     assert np.all(np.isfinite(values))
-
-
-def _outcome(fn, *args):
-    """The value, or the class and message of the library error raised."""
-    try:
-        return np.atleast_1d(fn(*args)).tobytes()
-    except CurstatError as exc:
-        return type(exc), str(exc)
 
 
 _BAD_T = (-1.0, np.nan, np.inf)

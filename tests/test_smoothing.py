@@ -214,6 +214,9 @@ def test_node_ceiling_rejects_tiny_bandwidth_before_allocating():
     with pytest.raises(InputError, match="grid nodes"):
         fit_smoothed(sample, KERNEL, 1e-7)
     with pytest.raises(InputError, match="grid nodes"):
+        fit_smoothed(sample, KERNEL, 1e-100)
+    # below the bandwidth floor the bandwidth check speaks first
+    with pytest.raises(InputError, match="below the floor"):
         fit_smoothed(sample, KERNEL, 1e-300)
 
 
