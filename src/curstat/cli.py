@@ -46,8 +46,8 @@ _TABLE_POINTS = (4.0, 6.5)
 # msle asymptotics
 _ORDER = {"naive": "MS", "msle": "MS", "smle": "SM"}
 # Ceiling on a simulated sample size (--n; --m is at most --n), checked
-# before any draw: an MS or naive replicate peaks near 210 bytes per
-# observation, so one replicate at the ceiling stays near 220 MB.
+# before any draw: an MS or naive replicate peaks near 117 bytes per
+# observation, so one replicate at the ceiling stays near 123 MB.
 _MAX_SAMPLE_SIZE = 2**20
 # Ceiling on a replicate count (--B), checked before any draw:
 # replicate_map keeps one row per replicate, 60 values (about 0.6 kB) on

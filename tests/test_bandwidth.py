@@ -389,7 +389,7 @@ def test_sm_replicate_raises_at_the_per_h_loops_bandwidth(monkeypatch):
 @pytest.mark.parametrize("m, c_lo, c_hi", [(500, 0.5, 50.0), (2000, 1.0, 25.0)])
 def test_ms_replicate_memory_stays_within_its_chunks(m, c_lo, c_hi):
     # 60 bandwidths smoothed at once would hold tens of MB; chunks keep
-    # one replicate's peak near 3 MB
+    # one replicate's peak near 2.5 MB
     hs = [float(h) for h in np.geomspace(c_lo, c_hi, 60) * m ** (-0.2)]
     body = _replicate(TRUTH.sample_x, TRUTH.sample_t, m, "msle", "F", KERNEL, hs, 4.0)
     body(0, child_rng(1, 0))  # kernel tables built before the measurement

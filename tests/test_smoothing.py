@@ -1,5 +1,6 @@
 """Tests for the smoothed-measures tabulation."""
 
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -321,23 +322,66 @@ def _moment_cases(draw):
     else:
         ones = counts if ones == "all" else [0] * len(counts)
     powers = draw(st.sampled_from((1, 2, 7, 8)))
-    return times, counts, ones, delta, powers
+    # one spacing, or several one after another in one buffer
+    deltas = [delta] + draw(st.lists(st.sampled_from((0.01, 0.1, 0.37, 1.0)), max_size=3))
+    gap = 2 * draw(st.sampled_from((16, 32, 64)))
+    return times, counts, ones, deltas, powers, gap
 
 
 @given(_moment_cases())
-@example(([3.5], [1], [1], 0.1, 8))  # n = 1
-@example(([0.1, 0.2, 0.2, 0.9], [1, 3, 2, 1], [0, 3, 1, 0], 1.0, 8))  # one cell
-@example(([0.0, 2.0, 2.0, 7.5], [2, 1, 4, 1], [0, 0, 0, 0], 0.37, 1))
-@example(([0.0, 2.0, 7.5], [2, 1, 4], [2, 1, 4], 0.37, 2))
+@example(([3.5], [1], [1], [0.1], 8, 64))  # n = 1
+@example(([0.1, 0.2, 0.2, 0.9], [1, 3, 2, 1], [0, 3, 1, 0], [1.0], 8, 64))  # one cell
+@example(([0.0, 2.0, 2.0, 7.5], [2, 1, 4, 1], [0, 0, 0, 0], [0.37], 1, 32))
+@example(([0.0, 2.0, 7.5], [2, 1, 4], [2, 1, 4], [0.37, 1.0], 2, 64))
+# 12 observations in one cell at spacing 1: reduceat sums past 8 terms
+# pairwise, and these moments tell that apart from a sum in order
+@example(
+    (
+        [0.08, 0.09, 0.11, 0.15, 0.22, 0.37, 0.41, 0.46, 0.49, 0.55, 0.7, 0.76],
+        [3, 3, 4, 3, 1, 4, 4, 5, 4, 2, 2, 4],
+        [2, 2, 4, 1, 1, 0, 0, 5, 4, 0, 0, 1],
+        [1.0, 0.1, 0.37],
+        8,
+        64,
+    )
+)
 def test_binned_moments_match_vander_oracle(case):
-    times, counts, ones, delta, powers = case
+    times, counts, ones, deltas, powers, gap = case
     times = np.asarray(times, dtype=float)
     counts, ones = np.asarray(counts), np.asarray(ones)
     weights = np.column_stack([counts - ones, ones]).astype(float)
-    got, _ = _binned_moments(times, weights, [delta], powers, 0)
-    want = binned_moments_vander(times, weights, delta, powers)
-    assert got.shape == want.shape
-    assert got.tobytes() == want.tobytes()
+    got, bases = _binned_moments(times, weights, deltas, powers, gap)
+    # each spacing's segment starts gap cells after the one before ends
+    start, gaps = 0, np.ones(got.shape[2], dtype=bool)
+    assert len(bases) == len(deltas)
+    for delta, base in zip(deltas, bases):
+        want = binned_moments_vander(times, weights, delta, powers)
+        size = want.shape[2]
+        assert base == start
+        assert got[:, :, base : base + size].tobytes() == want.tobytes()
+        gaps[base : base + size] = False
+        start = base + size + gap
+    assert got.shape[2] == start - gap
+    assert not got[:, :, gaps].any()
+
+
+def test_fit_peak_memory_per_observation():
+    # Binning the moments one power at a time keeps a fit's transient
+    # buffers near 73 bytes per observation; the bound sits below the 161
+    # that a table of every power at once needs.
+    n = 2**17
+    rng = np.random.default_rng(7)
+    times = np.sort(rng.uniform(0.0, 10.0, n))
+    sample = build_sample(_records(times, rng.random(n) < 0.5))
+    assert sample.times.size == n
+    smoothing._bin_tables(KERNEL, smoothing._CELLS)  # cached before the measurement
+    tracemalloc.start()
+    try:
+        fit_smoothed(sample, KERNEL, 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 100 * n
 
 
 @st.composite
