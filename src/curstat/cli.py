@@ -17,6 +17,8 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
+import stat
 import sys
 from pathlib import Path
 
@@ -46,8 +48,8 @@ _TABLE_POINTS = (4.0, 6.5)
 # msle asymptotics
 _ORDER = {"naive": "MS", "msle": "MS", "smle": "SM"}
 # Ceiling on a simulated sample size (--n; --m is at most --n), checked
-# before any draw: an MS or naive replicate peaks near 117 bytes per
-# observation, so one replicate at the ceiling stays near 123 MB.
+# before any draw: an MS or naive replicate peaks near 101 bytes per
+# observation, so one replicate at the ceiling stays near 106 MB.
 _MAX_SAMPLE_SIZE = 2**20
 # Ceiling on a replicate count (--B), checked before any draw:
 # replicate_map keeps one row per replicate, 60 values (about 0.6 kB) on
@@ -78,9 +80,11 @@ def _round9(obj):
     return obj
 
 
-_CLEAN_HEADER = "t,delta\n"
+_CLEAN_HEADER = b"t,delta\n"
 # the bytes a clean file may hold after its header line
 _CLEAN_BYTES = b"0123456789.eE+-,\n"
+# path suffixes np.loadtxt opens with a decompressor
+_PACKED = (".gz", ".bz2", ".xz", ".lzma")
 
 
 def read_observations(path: str) -> np.ndarray:
@@ -90,13 +94,13 @@ def read_observations(path: str) -> np.ndarray:
     skipped; header ``t,delta``; then rows of two stripped fields in
     Python ``float`` syntax, ``t`` finite and >= 0, ``delta`` 0 or 1.
 
-    A clean file (exactly ``t,delta`` on its first line, no blank line,
-    and only digits, ``.eE+-,`` and newlines after it) is split on its
-    newlines as it stands; any other file goes through the general
-    filter.  Both give the same lines, and one ``np.loadtxt`` call
-    parses them.  A file it refuses or whose values fail the checks is
-    read again by the per-line loop, which names the first bad line and
-    parses ``float``-only syntax (``1_0``).
+    A clean file (``t,delta`` exactly, then nonblank rows of ``0-9.eE+-,``)
+    is parsed by ``np.loadtxt`` from its path, in chunks, or in memory if
+    it is a pipe or another non-regular file; other files go through the
+    general filter.  Rows that ``np.loadtxt`` refuses, that fail the checks
+    or that differ in number from the bytes read (the file changed) are
+    read again from those bytes by the per-line loop, which names the
+    first bad line and parses ``float``-only syntax (``1_0``).
 
     Raises
     ------
@@ -105,43 +109,46 @@ def read_observations(path: str) -> np.ndarray:
         row; the message names the offending line.
     """
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        with open(path, "rb") as file:
+            regular = stat.S_ISREG(os.fstat(file.fileno()).st_mode)
+            data = file.read()
+        body = _clean_body(data)
+        text = data.decode("utf-8") if body is None else None
     except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
-    body = _clean_rows(text)
     if body is None:
-        linenos, body = _filtered_rows(path, text)
+        linenos, rows = _filtered_rows(path, text)
     else:
-        linenos = range(2, len(body) + 2)
-    if not body:
+        linenos = range(2, body.count(b"\n") + 2 + (not body.endswith(b"\n")))
+        # numpy would decompress a path by its suffix and fetch a URL
+        by_path = regular and "://" not in path and os.path.splitext(path)[1] not in _PACKED
+        rows = None if by_path else _clean_rows(body)
+    if not linenos:
         raise InputError(f"{path}: no data rows")
+    source, options = (rows, {}) if rows else (path, {"skiprows": 1, "encoding": "ascii"})
     try:
-        obs = np.loadtxt(body, delimiter=",", comments=None, dtype=float, ndmin=2)
-    except ValueError:
+        obs = np.loadtxt(source, delimiter=",", comments=None, dtype=float, ndmin=2, **options)
+    except (OSError, ValueError):
         obs = None
-    if obs is not None and obs.shape[1] == 2:
+    if obs is not None and obs.shape == (len(linenos), 2):
         t, d = obs[:, 0], obs[:, 1]
         if np.all(np.isfinite(t) & (t >= 0.0) & ((d == 0.0) | (d == 1.0))):
             return obs
-    return _parse_rows(path, zip(linenos, body))
+    return _parse_rows(path, zip(linenos, rows or _clean_rows(body)))
 
 
-def _clean_rows(text: str) -> list[str] | None:
-    """The data rows of a clean file, or None if the file is not clean.
+def _clean_body(data: bytes) -> bytes | None:
+    """The bytes after the header of a clean file, or None.  A clean file
+    has no carriage return, blank line or comment, so its rows are what
+    :func:`_filtered_rows` returns, numbered from line 2."""
+    body = data[len(_CLEAN_HEADER) :]
+    clean = data.startswith(_CLEAN_HEADER) and body and b"\n\n" not in data
+    return body if clean and not body.translate(None, _CLEAN_BYTES) else None
 
-    In a clean file ``splitlines`` and ``strip`` change nothing but the
-    newlines, and no line is blank or a comment, so its rows are what
-    :func:`_filtered_rows` returns, numbered from line 2.
-    """
-    if not text.startswith(_CLEAN_HEADER) or "\n\n" in text:
-        return None
-    rest = text[len(_CLEAN_HEADER) :]
-    if not rest.isascii() or rest.encode("ascii").translate(None, _CLEAN_BYTES):
-        return None
-    rows = rest.split("\n")
-    if rows[-1] == "":
-        rows.pop()
-    return rows
+
+def _clean_rows(body: bytes) -> list[str]:
+    """The rows of a clean file's body, split on its newlines."""
+    return body.decode("ascii").splitlines()
 
 
 def _filtered_rows(path: str, text: str) -> tuple[list[int], list[str]]:

@@ -3,6 +3,11 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -146,6 +151,10 @@ def _read_outcome(reader, path):
 @example(text="t,delta\n-0,0\n")
 @example(text="t,delta\n1.0,1.0\n")
 @example(text="t,delta\n1,1\n2,0,1\n")  # three fields, all in the clean alphabet
+# clean files that np.loadtxt reads from their path
+@example(text="t,delta\n+1,1\n.5,0\n5.,1\n1E-3,0\n-0,1\n")  # the syntax of the clean alphabet
+@example(text="t,delta\n1,1\n2,0\n3,1,0\n")  # the last row has three fields
+@example(text="t,delta\n1,1\n2,0\n1e-3,1")  # the last row has no newline
 def test_reader_matches_per_line_loop(tmp_path_factory, text):
     path = tmp_path_factory.getbasetemp() / "fuzz.csv"
     path.write_bytes(text.encode("utf-8"))
@@ -178,6 +187,74 @@ def test_reader_skips_the_general_filter_on_clean_files(tmp_path, monkeypatch):
     p.write_text("t,delta\n2.5,1\n0,2\n", encoding="utf-8")
     with pytest.raises(InputError, match="obs.csv:3: delta must be 0 or 1"):
         read_observations(str(p))
+
+
+def test_reader_reads_clean_regular_files_by_their_path(tmp_path, monkeypatch):
+    def no_split(*args):
+        raise AssertionError("clean regular file split into rows")
+
+    monkeypatch.setattr(cli, "_clean_rows", no_split)
+    p = tmp_path / "obs.csv"
+    p.write_text("t,delta\n2.5,1\n0,0\n1e-300,1\n", encoding="utf-8")
+    np.testing.assert_array_equal(
+        read_observations(str(p)), [[2.5, 1.0], [0.0, 0.0], [1e-300, 1.0]]
+    )
+
+
+@pytest.mark.parametrize("suffix", [".gz", ".bz2", ".xz", ".lzma"])
+def test_reader_reads_a_compressor_suffix_as_plain_text(tmp_path, suffix):
+    # np.loadtxt would open such a path with a decompressor
+    p = tmp_path / f"obs{suffix}"
+    p.write_text("t,delta\n2.5,1\n0,0\n", encoding="utf-8")
+    np.testing.assert_array_equal(read_observations(str(p)), [[2.5, 1.0], [0.0, 0.0]])
+
+
+def _clean_csv(n=300, seed=5):
+    gen = sample_current_status(TRUTH, n, seed)
+    pairs = zip(gen.raw_times.tolist(), gen.raw_deltas.tolist())
+    rows = "".join(f"{t!r},{int(d)}\n" for t, d in pairs)
+    return ("t,delta\n" + rows).encode("ascii")
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="no /dev/fd")
+def test_reader_reads_a_pipe_in_memory(tmp_path):
+    # np.loadtxt would open the path again and find the pipe drained: it
+    # warns "input contained no data", which fails the read here
+    data = _clean_csv()
+    p = tmp_path / "obs.csv"
+    p.write_bytes(data)
+    read_end, write_end = os.pipe()
+    try:
+        os.write(write_end, data)  # within a pipe's buffer
+        os.close(write_end)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = read_observations(f"/dev/fd/{read_end}")
+    finally:
+        os.close(read_end)
+    assert got.tobytes() == read_observations(str(p)).tobytes()
+
+
+_MAIN = "import sys; from curstat.cli import main; sys.exit(main(sys.argv[1:]))"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="no /dev/stdin")
+def test_estimate_reads_stdin_from_a_pipe_as_from_a_regular_file(tmp_path):
+    p = tmp_path / "obs.csv"
+    p.write_bytes(_clean_csv())
+    argv = [
+        sys.executable, "-W", "error", "-c", _MAIN, "estimate", "--input", "/dev/stdin",
+        "--method", "msle,smle", "--target", "F", "--h", "1.5", "--output", "-",
+    ]
+    src = str(Path(cli.__file__).parents[1])
+    paths = [src, os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    with open(p, "rb") as stdin:
+        regular = subprocess.run(argv, stdin=stdin, capture_output=True, env=env, timeout=300)
+    piped = subprocess.run(argv, input=p.read_bytes(), capture_output=True, env=env, timeout=300)
+    assert (regular.returncode, regular.stderr) == (0, b"")
+    assert regular.stdout.count(b"\n") > 400
+    assert (piped.returncode, piped.stdout, piped.stderr) == (0, regular.stdout, b"")
 
 
 def test_invalid_utf8_exits_2(tmp_path, capsys):
