@@ -34,9 +34,9 @@ from .bandwidth import (
     rate_exponent,
 )
 from .errors import DomainError, InputError
-from .estimators import _Fits, _guarded, _guards
+from .estimators import _estimate_table
 from .kernels import check_bandwidth, triweight
-from .mle import build_sample, fit_mle
+from .mle import build_sample
 from .sim import sample_current_status, truth_gamma4_exp3
 from .smoothing import _MAX_GRID_NODES, _as_array
 from ._threads import replicate_map
@@ -356,57 +356,15 @@ def cmd_estimate(args) -> int:
         h, extra = _resolve_h(args, method, target, sample, kernel, selection_cache)
         notes.extend(extra)
         col_h[(method, target)] = h
-    # one set of fits per distinct bandwidth, the mle column's under None
-    mle = fit_mle(sample) if any(m in ("mle", "smle") for m, _ in columns) else None
-    fits = {None: _Fits(sample, kernel, None, mle)}
-    for method, target in smoothing_cols:
-        h = col_h[(method, target)]
-        if h not in fits:
-            fits[h] = _Fits(sample, kernel, h, mle)
-        # fit now, so that an error of a fit comes before any column's
-        fits[h].args(method)
-
-    h_max = max(col_h.values(), default=0.0)
-    t_max = float(sample.times[-1])
-    grid = np.linspace(0.0, t_max + h_max, args.grid_points)
-
-    def fits_for(method, target):
-        return fits[col_h.get((method, target))]
-
-    # ratio-based columns cannot reach the grid end, where the smoothed
-    # density is identically zero; trim the shared grid to the last node
-    # every such column survives
-    ratio_cols = [
-        (m, t) for m, t in columns if m == "naive" or t == "lambda"
-    ]
-    if ratio_cols:
-        combined = np.ones(grid.shape, dtype=bool)
-        for method, target in ratio_cols:
-            combined &= _guards(method, target, fits_for(method, target), grid)[0]
-        safe_idx = np.flatnonzero(combined)
-        if safe_idx.size == 0:
-            raise DomainError(
-                "no grid node clears the density floor and hazard ceiling "
-                "for the requested ratio-based columns"
-            )
-        grid = grid[: safe_idx[-1] + 1]
-
-    table = [grid]
-    header = ["t"]
-    violations = []
-    for method, target in columns:
-        vals, viols = _guarded(method, target, fits_for(method, target), grid)
-        table.append(vals)
-        header.append(f"{method}_{target}")
-        violations.extend(viols)
+    grid, values, violations = _estimate_table(sample, kernel, columns, col_h, args.grid_points)
 
     lines = [f"# curstat estimate, input = {args.input}, kernel = triweight"]
     lines.append(f"# n = {sample.n}")
     for (method, target), h in sorted(col_h.items()):
         lines.append(f"# h[{method},{target}] = {_fmt(h)}")
     lines.extend(notes)
-    lines.append(",".join(header))
-    for row in zip(*table):
+    lines.append(",".join(["t"] + [f"{method}_{target}" for method, target in columns]))
+    for row in zip(grid, *values):
         lines.append(",".join(_fmt(v) for v in row))
     _write_text(args.output, "\n".join(lines) + "\n")
 

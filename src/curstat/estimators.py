@@ -30,6 +30,7 @@ import numpy as np
 from .errors import (
     DegenerateSupport,
     DensityFloorViolation,
+    DomainError,
     HazardDenominatorViolation,
     OutOfDomain,
 )
@@ -380,42 +381,77 @@ class _Fits:
 
 
 def _guards(family: str, target: str, fits: _Fits, t: np.ndarray):
-    """Where the guards of one column hold on the points ``t``, and one
-    message per guard that trips there, the floor's first.
+    """Where one column's density floor holds on the points ``t``, and
+    where every one of its guards holds.
 
     A naive column needs the smoothed density above ``G_FLOOR``; a hazard
     needs ``1 - F`` above ``F_CEILING`` wherever the floor holds.  Other
-    columns hold everywhere.
+    columns hold everywhere.  Both guards are pointwise, so the masks of a
+    prefix of ``t`` are the prefixes of its masks.
     """
-    name = f"{family}_{target}"
-    safe = np.ones(t.shape, dtype=bool)
-    messages = []
+    floor = np.ones(t.shape, dtype=bool)
     if family == "naive":
-        safe = np.asarray(fits.sm.eval("g", t)) > G_FLOOR
-        if not np.all(safe):
+        floor = np.asarray(fits.sm.eval("g", t)) > G_FLOOR
+    safe = floor.copy()
+    if target == "lambda" and np.any(floor):
+        safe[floor] = _clears_ceiling(np.asarray(_EVAL[family]["F"](*fits.args(family), t[floor])))
+    return floor, safe
+
+
+def _estimate_table(sample: ObservedSample, kernel: Kernel, columns, col_h: dict, grid_points: int):
+    """The ``estimate`` table: its grid, one array of values per
+    ``(family, target)`` of ``columns``, and the guards' messages.
+
+    ``col_h`` maps each smoothing column to its bandwidth.  One set of
+    fits per distinct bandwidth is fitted in column order, before any
+    column is evaluated, and the MLE is fitted once, only when a column
+    reads it.  The grid has ``grid_points`` nodes over
+    ``[0, T_max + max h]``.  The ratio columns cannot reach its end, where
+    the smoothed density vanishes, so it ends at the last node where every
+    column's guards hold.  A guard that trips before that node writes nan
+    cells and one message, the floor's first.
+
+    Raises
+    ------
+    DomainError
+        If no grid node clears every column's guards.
+    """
+    mle = fit_mle(sample) if any(m in ("mle", "smle") for m, _ in columns) else None
+    fits = {None: _Fits(sample, kernel, None, mle)}
+    for family, target in columns:
+        h = col_h.get((family, target))
+        if h not in fits:
+            fits[h] = _Fits(sample, kernel, h, mle)
+        # fit now, so that an error of a fit comes before any column's
+        fits[h].args(family)
+    by_column = [fits[col_h.get(column)] for column in columns]
+    grid = np.linspace(0.0, float(sample.times[-1]) + max(col_h.values(), default=0.0), grid_points)
+    guards = [_guards(*column, f, grid) for column, f in zip(columns, by_column)]
+    safe_idx = np.flatnonzero(np.logical_and.reduce([safe for _, safe in guards]))
+    if safe_idx.size == 0:
+        raise DomainError(
+            "no grid node clears the density floor and hazard ceiling "
+            "for the requested ratio-based columns"
+        )
+    end = safe_idx[-1] + 1
+    grid = grid[:end]
+    values, messages = [], []
+    for (family, target), f, (floor, safe) in zip(columns, by_column, guards):
+        floor, safe = floor[:end], safe[:end]
+        name = f"{family}_{target}"
+        if not np.all(floor):
             messages.append(
                 f"{name}: smoothed density is at or below the floor {G_FLOOR:g} "
-                f"at t = {float(t[~safe][0]):.9g}; cells written as nan"
+                f"at t = {float(grid[~floor][0]):.9g}; cells written as nan"
             )
-    if target == "lambda" and np.any(safe):
-        ok = safe.copy()
-        F = np.asarray(_EVAL[family]["F"](*fits.args(family), t[safe]))
-        ok[safe] = _clears_ceiling(F)
-        hit = safe & ~ok
+        hit = floor & ~safe
         if np.any(hit):
             messages.append(
                 f"{name}: 1 - F is at or below the hazard ceiling {F_CEILING:g} "
-                f"from t = {float(t[hit][0]):.9g}; cells written as nan"
+                f"from t = {float(grid[hit][0]):.9g}; cells written as nan"
             )
-        safe = ok
-    return safe, messages
-
-
-def _guarded(family: str, target: str, fits: _Fits, t: np.ndarray):
-    """One column on the points ``t``: the values, nan where a guard of
-    :func:`_guards` trips, and the guards' messages."""
-    safe, messages = _guards(family, target, fits, t)
-    values = np.full(t.shape, np.nan)
-    if np.any(safe):
-        values[safe] = _EVAL[family][target](*fits.args(family), t[safe])
-    return values, messages
+        column = np.full(grid.shape, np.nan)
+        if np.any(safe):
+            column[safe] = _EVAL[family][target](*f.args(family), grid[safe])
+        values.append(column)
+    return grid, values, messages

@@ -8,8 +8,8 @@ positive indicator,
     g1_n(t) = (1/n) sum_j ones_j * k_h(t - T_j),
 
 its complement ``g0_n`` (indicator zero), their sum ``g_n``, the three
-first derivatives, and the three antiderivatives obtained by cumulative
-trapezoid quadrature.
+first derivatives, and the antiderivative of ``g_n`` obtained by
+cumulative trapezoid quadrature.
 
 The kernel is a polynomial, so binning is exact.  Write
 ``T_j = (l_j + r_j) * delta`` with an integer cell ``l_j`` and
@@ -55,7 +55,7 @@ _poly = np.polynomial.polynomial
 # Grid cells per bandwidth K: the spacing is h / K.
 _CELLS = 32
 # A fit keeps about 160 bytes per node (the grid, g0, g1, g and the
-# binned moments), 210 once its derivatives and antiderivatives are read,
+# binned moments), 194 once its derivatives and antiderivative are read,
 # and peaks near 290 as a chunk of its own, so the ceiling bounds one fit
 # near 300 MB; a bandwidth that needs more nodes is rejected as input.
 _MAX_GRID_NODES = 2**20
@@ -63,7 +63,7 @@ _MAX_GRID_NODES = 2**20
 # moment cells stay within this budget, so its buffers stay under 2 MB.
 _CHUNK_BUDGET = 8192
 
-_CURVES = ("g0", "g1", "g", "dg0", "dg1", "dg", "G0", "G1", "G")
+_CURVES = ("g0", "g1", "g", "dg0", "dg1", "dg", "G")
 
 _DOMAIN_MESSAGE = "evaluation points must be finite and nonnegative"
 
@@ -100,10 +100,10 @@ class SmoothedMeasures:
         ``c = 0`` for indicator zero and 1 for indicator one.
     dg0, dg1, dg : ndarray
         Their derivatives at the grid nodes.
-    G0, G1, G : ndarray
-        Cumulative trapezoid antiderivatives, zero at the origin.
+    G : ndarray
+        Cumulative trapezoid antiderivative of ``g``, zero at the origin.
 
-    The derivatives and antiderivatives are computed on first read, the
+    The derivatives and the antiderivative are computed on first read, the
     derivatives from the binned moments the fit keeps; a caller that
     reads only ``g0``, ``g1`` and ``g`` never pays for them.
     """
@@ -151,14 +151,6 @@ class SmoothedMeasures:
         return self.dg0 + self.dg1
 
     @cached_property
-    def G0(self) -> np.ndarray:
-        return self._integral(self.g0)
-
-    @cached_property
-    def G1(self) -> np.ndarray:
-        return self._integral(self.g1)
-
-    @cached_property
     def G(self) -> np.ndarray:
         return self._integral(self.g)
 
@@ -168,7 +160,7 @@ class SmoothedMeasures:
         Parameters
         ----------
         which : str
-            One of ``g0, g1, g, dg0, dg1, dg, G0, G1, G``.
+            One of ``g0, g1, g, dg0, dg1, dg, G``.
         t : array_like
             Evaluation points, all nonnegative.
 
@@ -177,7 +169,7 @@ class SmoothedMeasures:
         ndarray or float
             Interpolated values; exact at grid nodes.  Beyond the grid
             the density and derivative curves are zero and the
-            antiderivatives stay at their terminal value.
+            antiderivative stays at its terminal value.
 
         Raises
         ------
@@ -188,7 +180,7 @@ class SmoothedMeasures:
             raise ValueError(f"unknown curve {which!r}; expected one of {_CURVES}")
         arr = _as_array(t)
         tab = getattr(self, which)
-        right = float(tab[-1]) if which.startswith("G") else 0.0
+        right = float(tab[-1]) if which == "G" else 0.0
         out = np.interp(arr, self.grid, tab, left=tab[0], right=right)
         if np.ndim(t) == 0:
             return float(out)

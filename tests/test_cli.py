@@ -162,11 +162,12 @@ def test_reader_matches_per_line_loop(tmp_path_factory, text):
     assert _read_outcome(read_observations, str(path)) == want
 
 
-def test_reader_takes_the_array_route_on_clean_files(tmp_path, monkeypatch):
+def test_reader_takes_the_array_route_in_the_general_filter(tmp_path, monkeypatch):
     def no_loop(*args):
-        raise AssertionError("per-line loop used on a clean file")
+        raise AssertionError("per-line loop used on well-formed rows")
 
     monkeypatch.setattr(cli, "_parse_rows", no_loop)
+    # the fixture's comment and blank lines send it through the general filter
     p = tmp_path / "obs.csv"
     _write_csv(p, [2.5, 0.0, 1e-300], [1, 0, 1], extra_lines=["", "# tail"])
     np.testing.assert_array_equal(
@@ -385,12 +386,40 @@ def test_estimate_fits_the_mle_only_for_columns_that_read_it(tmp_path, monkeypat
         return fit_mle(sample)
 
     monkeypatch.setattr(estimators, "fit_mle", counted)
-    monkeypatch.setattr(cli, "fit_mle", counted)
     inp = _sample_csv(tmp_path / "obs.csv", n=400)
     out = tmp_path / "out.csv"
     assert main(["estimate", "--input", inp, "--output", str(out)] + flags) in (0, 3)
     assert out.exists()
     assert len(calls) == fits
+
+
+def test_estimate_computes_each_columns_guards_once(tmp_path, monkeypatch):
+    # the guards run on the full grid; the trimmed grid's masks are their
+    # prefixes, not a second evaluation
+    from curstat import estimators
+    from curstat.smoothing import SmoothedMeasures
+
+    inp = _sample_csv(tmp_path / "obs.csv", n=400)
+    base = ["estimate", "--input", inp, "--h", "2", "--output", str(tmp_path / "out.csv")]
+    reads = []
+    smle_F, smoothed_eval = estimators.smle_F, SmoothedMeasures.eval
+
+    def counted_F(*args):
+        reads.append("smle F")
+        return smle_F(*args)
+
+    def counted_eval(sm, which, t):
+        reads.append(which)
+        return smoothed_eval(sm, which, t)
+
+    monkeypatch.setitem(estimators._EVAL["smle"], "F", counted_F)
+    monkeypatch.setattr(SmoothedMeasures, "eval", counted_eval)
+    assert main(base + ["--method", "smle", "--target", "lambda"]) == 0
+    assert reads.count("smle F") == 1
+    reads.clear()
+    # one read for the floor guard, one inside naive_F
+    assert main(base + ["--method", "naive", "--target", "F"]) == 0
+    assert reads.count("g") == 2
 
 
 def test_estimate_trims_tail_for_ratio_targets(tmp_path):

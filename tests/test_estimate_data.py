@@ -6,7 +6,8 @@ far-apart clusters, times near 1e-6 or 1e6, and indicators that are all
 0, all 1, random or a threshold in t.  Every run must end in exit 0, 2
 or 3 with only error and warning lines on stderr, and repeat its bytes;
 every file it writes must hold the estimators' shape properties, or the
-selection's.
+selection's.  The table behind ``estimate`` is also called directly, with
+no file, on the same drawn data.
 """
 
 import contextlib
@@ -15,15 +16,18 @@ import json
 from unittest import mock
 
 import numpy as np
-from hypothesis import given, settings
+import pytest
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from curstat import cli
 from curstat.bandwidth import bootstrap_bandwidth, rate_exponent
 from curstat.cli import _fmt, main
-from curstat.estimators import _EVAL, _Fits
+from curstat.errors import CurstatError, DomainError
+from curstat.estimators import _EVAL, F_CEILING, G_FLOOR, _estimate_table, _Fits, fit_msle
 from curstat.kernels import triweight
-from curstat.mle import build_sample
+from curstat.mle import build_sample, fit_mle
+from curstat.smoothing import fit_smoothed
 
 _TIMES = ("uniform", "ties", "integers", "clusters", "tiny", "huge")
 _INDICATORS = ("zeros", "ones", "random", "threshold")
@@ -258,3 +262,117 @@ def test_bandwidth_on_drawn_data_keeps_its_properties(tmp_path_factory, req):
     n = build_sample(np.column_stack([t, d])).n
     assert got["c_hat"] == float(_fmt(sel.c_hat))
     assert got["h_hat"] == float(_fmt(sel.c_hat * n ** -rate_exponent(flags["target"])))
+
+
+_COLUMNS = [(m, t) for m in cli._METHODS for t in cli._TARGETS if m != "mle" or t == "F"]
+
+
+@st.composite
+def _tables(draw):
+    """A drawn sample, columns, bandwidths and grid size for the table."""
+    t, d = draw(_data())
+    columns = draw(st.lists(st.sampled_from(_COLUMNS), min_size=1, max_size=5, unique=True))
+    # one or two bandwidths on the scale of the times, shared by the
+    # columns; the small ones leave holes in the smoothed density
+    hs = draw(st.lists(st.floats(-2.5, 0.5), min_size=1, max_size=2))
+    scale = max(float(t.max()), 1.0)
+    col_h = {c: scale * 10.0 ** draw(st.sampled_from(hs)) for c in columns if c[0] != "mle"}
+    return build_sample(np.column_stack([t, d])), columns, col_h, draw(st.integers(2, 60))
+
+
+def _evaluator_args(sample, columns, col_h):
+    """Each column's evaluator arguments, fitted afresh in the table's
+    order: the MLE first, then each column's smoothing and hull."""
+    mle = fit_mle(sample) if any(m in ("mle", "smle") for m, _ in columns) else None
+    sm, args = {}, []
+    for family, target in columns:
+        h = col_h.get((family, target))
+        if family in ("naive", "msle") and h not in sm:
+            sm[h] = fit_smoothed(sample, triweight(), h)
+        if family == "msle":
+            args.append((fit_msle(sm[h]),))
+        else:
+            args.append({"mle": (mle,), "naive": (sm.get(h),), "smle": (mle, triweight(), h)}[family])
+    return args, sm
+
+
+def _case(times, deltas, col_h, points):
+    sample = build_sample(np.column_stack([times, deltas]).astype(float))
+    return sample, list(col_h), {c: h for c, h in col_h.items() if h}, points
+
+
+# the naive density vanishes before the first cluster and its F reaches 1
+# between the clusters: a floor and a ceiling message inside the grid
+_GUARDS_TRIP = _case(
+    [1.0, 1.1, 1.2, 3.0, 3.1, 3.2, 5.0, 5.1, 5.2, 6.0],
+    [0, 0, 0, 1, 1, 1, 0, 0, 0, 1],
+    {("naive", "lambda"): 0.5, ("mle", "F"): None, ("msle", "f"): 0.5, ("smle", "lambda"): 0.8},
+    101,
+)
+
+
+@settings(max_examples=150)
+@given(case=_tables())
+@example(case=_GUARDS_TRIP)
+def test_estimate_table_trims_and_guards_by_its_rules(case):
+    sample, columns, col_h, points = case
+    full = np.linspace(0.0, float(sample.times[-1]) + max(col_h.values(), default=0.0), points)
+    try:
+        args, sm = _evaluator_args(sample, columns, col_h)
+    except CurstatError as exc:
+        with pytest.raises(type(exc)):
+            _estimate_table(sample, triweight(), columns, col_h, points)
+        return
+    # the density floor of a naive column, and the hazard ceiling of a
+    # lambda column where its floor holds, node by node
+    floors, safes = [], []
+    for (family, target), a in zip(columns, args):
+        floor = np.ones(points, dtype=bool)
+        if family == "naive":
+            floor = np.array([sm[col_h[(family, target)]].eval("g", float(x)) > G_FLOOR for x in full])
+        safe = floor.copy()
+        if target == "lambda":
+            F = np.asarray(_EVAL[family]["F"](*a, full[floor]))
+            safe[floor] = 1.0 - F > F_CEILING
+        floors.append(floor)
+        safes.append(safe)
+    kept = np.flatnonzero(np.logical_and.reduce(safes))
+    if kept.size == 0:
+        with pytest.raises(DomainError, match="no grid node clears"):
+            _estimate_table(sample, triweight(), columns, col_h, points)
+        return
+    end = kept[-1] + 1
+    # each column read on its safe nodes in one call, as the smle array
+    # route's last bits depend on the rows of its product
+    want = []
+    for (family, target), a, safe in zip(columns, args, safes):
+        try:
+            want.append(np.asarray(_EVAL[family][target](*a, full[:end][safe[:end]])))
+        except CurstatError as exc:
+            with pytest.raises(type(exc)):
+                _estimate_table(sample, triweight(), columns, col_h, points)
+            return
+
+    grid, values, messages = _estimate_table(sample, triweight(), columns, col_h, points)
+    assert grid.tobytes() == full[:end].tobytes()
+    expected = []
+    for (family, target), floor, safe, col, cells in zip(columns, floors, safes, values, want):
+        name = f"{family}_{target}"
+        if family == "naive" or target == "lambda":
+            assert safe[end - 1], name
+        floor, safe = floor[:end], safe[:end]
+        if not floor.all():
+            expected.append(
+                f"{name}: smoothed density is at or below the floor 1e-08 "
+                f"at t = {_fmt(grid[~floor][0])}; cells written as nan"
+            )
+        if not safe[floor].all():
+            expected.append(
+                f"{name}: 1 - F is at or below the hazard ceiling 1e-06 "
+                f"from t = {_fmt(grid[floor & ~safe][0])}; cells written as nan"
+            )
+        named = any(m.startswith(name + ": ") for m in messages)
+        assert np.isnan(col).any() == named, name
+        assert np.array_equal(np.isnan(col), ~safe), name
+        assert col[safe].tobytes() == cells.tobytes(), name
+    assert messages == expected

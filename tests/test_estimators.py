@@ -204,7 +204,7 @@ def test_msle_F_computes_no_derivative_or_antiderivative():
     sm = _fit(np.random.default_rng(43), 300, 1.0)
     fit = fit_msle(sm)
     msle_F(fit, 4.0)
-    assert not {"dg0", "dg1", "dg", "G0", "G1", "G"} & set(vars(sm))
+    assert not {"dg0", "dg1", "dg", "G"} & set(vars(sm))
 
 
 def test_msle_F_carries_last_value_beyond_grid():
@@ -440,10 +440,13 @@ def test_guard_and_evaluator_agree_at_the_hazard_ceiling(family):
         fits.sm = dataclasses.replace(sm, g=np.ones_like(sm.g), g1=np.full_like(sm.g1, F))
     if family == "msle":
         fits.hull = dataclasses.replace(fits.hull, fitted=np.full_like(fits.hull.fitted, F))
-    t = np.array([2.5, 3.0, 3.5])
-    values, messages = estimators._guarded(family, "lambda", fits, t)
+    # every bandwidth's fits are these; the grid spans [0, 6]
+    column = (family, "lambda")
+    with mock.patch.object(estimators, "_Fits", lambda *args: fits):
+        grid, values, messages = estimators._estimate_table(sample, KERNEL, [column], {column: 1.0}, 41)
     assert messages == []
-    assert np.all(np.isfinite(values))
+    assert grid.size == 41
+    assert np.all(np.isfinite(values[0]))
 
 
 _BAD_T = (-1.0, np.nan, np.inf)

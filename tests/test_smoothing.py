@@ -81,8 +81,8 @@ def test_mass_conservation_when_support_clears_boundary_zone():
     sm = fit_smoothed(build_sample(_records(times, deltas)), KERNEL, 0.9)
     assert abs(sm.G[-1] - 1.0) < 1e-6
     frac1 = deltas.mean()
-    assert abs(sm.G1[-1] - frac1) < 1e-6
-    assert abs(sm.G0[-1] - (1.0 - frac1)) < 1e-6
+    assert abs(sm._integral(sm.g1)[-1] - frac1) < 1e-6
+    assert abs(sm._integral(sm.g0)[-1] - (1.0 - frac1)) < 1e-6
 
 
 def test_mass_distortion_small_when_data_overlaps_boundary_zone():
@@ -101,9 +101,10 @@ def test_antiderivatives_nondecreasing_and_ordered():
     times = 7.0 * rng.random(300)
     deltas = (rng.random(300) < 0.5).astype(int)
     sm = fit_smoothed(build_sample(_records(times, deltas)), KERNEL, 1.1)
-    for tab in (sm.G0, sm.G1, sm.G):
+    G0, G1 = sm._integral(sm.g0), sm._integral(sm.g1)
+    for tab in (G0, G1, sm.G):
         assert np.all(np.diff(tab) >= -1e-15)
-    assert np.all(sm.G1 <= sm.G + 1e-15)
+    assert np.all(G1 <= sm.G + 1e-15)
     assert sm.eval("G", 0.0) == 0.0
 
 
@@ -158,9 +159,9 @@ def test_antiderivatives_match_scipys_cumulative_trapezoid():
             build_sample(_records(rng.uniform(0.0, 8.0, n), rng.integers(0, 2, n))), KERNEL, h
         )
         dx = sm.h / sm.cells
-        for name in ("g0", "g1", "g"):
+        for name, got in (("g0", sm._integral(sm.g0)), ("g1", sm._integral(sm.g1)), ("g", sm.G)):
             want = cumulative_trapezoid(getattr(sm, name), dx=dx, initial=0.0)
-            assert getattr(sm, name.upper()).tobytes() == want.tobytes(), (n, name)
+            assert got.tobytes() == want.tobytes(), (n, name)
         for size in (1, 2, 3, 1000):
             g = rng.uniform(0.0, 1.0, size) * 10.0 ** rng.uniform(-300, 300, size)
             want = cumulative_trapezoid(g, dx=dx, initial=0.0)
@@ -170,7 +171,7 @@ def test_antiderivatives_match_scipys_cumulative_trapezoid():
 def test_eval_exact_at_nodes_and_conventions():
     sm = fit_smoothed(build_sample(_records([2.0, 4.0], [1, 0])), KERNEL, 1.0)
     idx = [0, 5, len(sm.grid) - 1]
-    for key in ("g0", "g1", "g", "dg", "G", "G1"):
+    for key in ("g0", "g1", "g", "dg", "G"):
         tab = getattr(sm, key)
         for i in idx:
             assert sm.eval(key, float(sm.grid[i])) == pytest.approx(
@@ -182,8 +183,10 @@ def test_eval_exact_at_nodes_and_conventions():
     assert sm.eval("G", end + 3.0) == pytest.approx(sm.G[-1])
     out = sm.eval("g", np.array([0.0, 1.0, end + 1.0]))
     assert out.shape == (3,)
-    with pytest.raises(ValueError):
-        sm.eval("g1'", 2.0)
+    # only the total antiderivative is tabulated
+    for bad in ("g1'", "G0", "G1"):
+        with pytest.raises(ValueError):
+            sm.eval(bad, 2.0)
 
 
 def test_eval_rejects_negative_and_unknown():
@@ -257,13 +260,13 @@ def test_consistency_at_desk_scale():
 def test_all_zero_indicators_give_empty_g1():
     sm = fit_smoothed(build_sample(_records([1.0, 2.0], [0, 0])), KERNEL, 0.5)
     assert np.all(sm.g1 == 0.0)
-    assert np.all(sm.G1 == 0.0)
+    assert np.all(sm._integral(sm.g1) == 0.0)
     assert np.all(sm.g == sm.g0)
 
 
 def test_lazy_curves_do_not_depend_on_read_order():
     sample = build_sample(_records([0.1, 0.4, 0.4, 1.7, 2.5, 3.0], [0, 1, 0, 1, 1, 0]))
-    lazy = ("dg0", "dg1", "dg", "G0", "G1", "G")
+    lazy = ("dg0", "dg1", "dg", "G")
     first = fit_smoothed(sample, KERNEL, 0.8)
     read_first = {key: getattr(first, key) for key in lazy}
     later = fit_smoothed(sample, KERNEL, 0.8)
