@@ -265,25 +265,29 @@ def msle_lambda(fit: ConvexHullFit, t):
 
 
 # Points per block of the array route, so the points x jumps matrix does
-# not grow with the grid; a multiple of any BLAS row unroll, so each row
-# is reduced as in one unblocked product.
+# not grow with the grid; each row is summed on its own, so the block
+# size does not bear on the bits.
 _SMLE_BLOCK = 4096
 
 
 def _smle_sum(mle: StepDistribution, h: float, t, window, tails, weight):
-    """``sum_j masses_j * weight((t - tau_j) / h)`` at ``t``.
+    """``sum_j masses_j * weight((t - tau_j) / h)`` at ``t``, summed over
+    the jumps in time order, left to right.
+
+    Arrays are evaluated in blocks of ``_SMLE_BLOCK`` points: a block of
+    weights is multiplied by the masses and accumulated along the jumps
+    in place, so each point's sum is sequential whatever numpy's BLAS.
 
     A Python scalar ``t`` (the selectors' thousands of point evaluations)
-    is checked and weighted in Python floats.  Only the jumps with
-    ``|u| <= 1`` are weighted, by one ``window(x, h, taus)`` call that
-    loops over them, so the Python work does not grow with the jumps far
-    from ``t``: every jump beyond gets ``tails[0]`` or ``tails[1]``,
-    ``weight(2.0)`` and ``weight(-2.0)``, which is ``weight(u)`` for all
-    ``u > 1`` or ``u < -1``.  It gives the same bits as a one-element
-    array: the same IEEE operations as the ufuncs, and the same dot
-    (numpy's matmul reduces a one-row product with the same kernel as a
-    1-d by 1-d product).  Arrays are evaluated in blocks of
-    ``_SMLE_BLOCK`` points.
+    is checked and summed in Python floats, with the same IEEE operations
+    in the same order, so it has the bits of a one-element array and makes
+    no numpy call.  Only the jumps with ``|u| <= 1`` are weighted, by one
+    ``window(x, h, taus)`` call that loops over them.  Every jump beyond
+    gets ``tails[0]`` or ``tails[1]``, ``weight(2.0)`` and
+    ``weight(-2.0)``, which is ``weight(u)`` for all ``u > 1`` or
+    ``u < -1``: the sum before the window is the MLE's running sum of
+    ``masses_j * tails[0]``, computed once, and a zero tail after it adds
+    as one term, since the masses are positive.
     """
     if isinstance(t, (float, int)):
         x = float(t)
@@ -301,22 +305,35 @@ def _smle_sum(mle: StepDistribution, h: float, t, window, tails, weight):
         hi = bisect_right(jt, x + h, lo=lo)
         while hi < len(jt) and (x - jt[hi]) / h >= -1.0:
             hi += 1
-        weights = window(x, h, jt[lo:hi])
-        if lo:
-            weights = [tails[0]] * lo + weights
+        masses = mle.mass_list
+        # -0.0 + y is y for every y: with no jump before the window the sum
+        # starts from the first term, as np.cumsum does; masses_j times a
+        # zero tail is that zero, and so is their sum
+        if not lo:
+            total = -0.0
+        elif tails[0]:
+            total = mle.running_sums(tails[0])[lo - 1]
+        else:
+            total = tails[0]
+        for m, w in zip(masses[lo:hi], window(x, h, jt[lo:hi])):
+            total += m * w
         if hi < len(jt):
-            weights += [tails[1]] * (len(jt) - hi)
-        return float(np.array(weights) @ mle.masses)
+            if tails[1]:
+                for m in masses[hi:]:
+                    total += m * tails[1]
+            else:
+                total += tails[1]
+        return total
     arr = _as_array(t)
     check_bandwidth(h)
     if mle.jump_times.size == 0:
         return _shaped(np.zeros(np.shape(arr)), t)
     flat = arr.reshape(-1)
-    blocks = [
-        weight((flat[i : i + _SMLE_BLOCK, None] - mle.jump_times) / h) @ mle.masses
-        for i in range(0, flat.size, _SMLE_BLOCK)
-    ]
-    out = np.concatenate(blocks) if blocks else np.zeros(0)
+    out = np.empty(flat.size)
+    for i in range(0, flat.size, _SMLE_BLOCK):
+        block = weight((flat[i : i + _SMLE_BLOCK, None] - mle.jump_times) / h)
+        block *= mle.masses
+        out[i : i + _SMLE_BLOCK] = np.cumsum(block, axis=1, out=block)[:, -1]
     return _shaped(out.reshape(np.shape(arr)), t)
 
 

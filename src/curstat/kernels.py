@@ -21,6 +21,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -44,6 +45,42 @@ def _horner(coefficients, x):
         if a:
             acc = acc + a
     return acc
+
+
+def _horner_source(coefficients, x: str) -> str:
+    """:func:`_horner` as one Python expression in the variable ``x``, the
+    coefficient ``j`` read as the name ``cj``: the same operations in the
+    same order, zero terms skipped."""
+    j = len(coefficients) - 1
+    expr = f"c{j}"
+    for j in range(j - 1, -1, -1):
+        expr = f"({expr} * {x} + c{j})" if coefficients[j] else f"({expr} * {x})"
+    return expr
+
+
+# The window routes of a Kernel, one loop over Python floats each, with
+# the IEEE operations of the array routes k(u) / h and K(u) in their
+# order; {form} is the Horner expression of the kernel's form in w.
+_DENSITY_WINDOW = """
+def window(x, h, taus):
+    out = []
+    for tau in taus:
+        u = (x - tau) / h
+        w = 1.0 - u * u
+        out.append({form} / h if w >= 0.0 else 0.0 / h)
+    return out
+"""
+_INTEGRAL_WINDOW = """
+def window(x, h, taus):
+    out = []
+    for tau in taus:
+        u = (x - tau) / h
+        u = -1.0 if u < -1.0 else 1.0 if u > 1.0 else u
+        w = u * u
+        v = 0.5 + u * {form}
+        out.append(0.0 if v < 0.0 else 1.0 if v > 1.0 else v)
+    return out
+"""
 
 
 def _integral(coefficients) -> float:
@@ -72,8 +109,10 @@ class Kernel:
     ``K_window`` and ``k_window`` weight a list of points ``tau`` at once,
     ``K((x - tau) / h)`` and ``k((x - tau) / h) / h``, in one loop over
     Python floats, with the bits of the array route: the same IEEE
-    operations in the same order.  ``m2``, ``l2_k`` and ``l2_kprime`` are
-    the second moment and the integrals of ``k^2`` and ``k'^2``.
+    operations in the same order.  Each is compiled once per kernel, with
+    its polynomial written out as one expression.  ``m2``, ``l2_k`` and
+    ``l2_kprime`` are the second moment and the integrals of ``k^2`` and
+    ``k'^2``.
     """
 
     name: str
@@ -83,6 +122,11 @@ class Kernel:
         c = np.asarray(self.coefficients, dtype=float)
         if np.any(c[1::2]) or abs(_integral(c) - 1.0) > 1e-12:
             raise ValueError("kernel polynomial must be even with unit mass on [-1, 1]")
+
+    def __getstate__(self):
+        # the cached members follow from the fields, and pickle cannot
+        # store the compiled windows
+        return {"name": self.name, "coefficients": self.coefficients}
 
     @cached_property
     def _forms(self) -> tuple[tuple[float, ...], ...]:
@@ -99,49 +143,25 @@ class Kernel:
         parts = (A, -2.0 * _poly.polyder(A), _poly.polyint(c)[1::2])
         return tuple(tuple(float(a) for a in part) for part in parts)
 
+    def _window(self, source: str, form: int):
+        """The window function ``source`` defines, compiled with the
+        Horner expression of ``_forms[form]`` written out in it."""
+        coefficients = self._forms[form]
+        namespace = {f"c{j}": a for j, a in enumerate(coefficients)}
+        exec(source.format(form=_horner_source(coefficients, "w")), namespace)
+        return namespace["window"]
+
     @cached_property
-    def _horner_steps(self) -> tuple[tuple[float, tuple[float, ...]], ...]:
-        """Each form of :attr:`_forms` as the leading coefficient and the
-        rest from the top down: the order in which :func:`_horner` reads
-        them."""
-        return tuple((form[-1], form[-2::-1]) for form in self._forms)
+    def k_window(self) -> Callable[[float, float, Sequence[float]], list[float]]:
+        """``k((x - tau) / h) / h`` for each float ``tau`` in ``taus``,
+        called as ``k_window(x, h, taus)``."""
+        return self._window(_DENSITY_WINDOW, 0)
 
-    def k_window(self, x: float, h: float, taus) -> list[float]:
-        """``k((x - tau) / h) / h`` for each float ``tau`` in ``taus``."""
-        top, rest = self._horner_steps[0]
-        out = []
-        for tau in taus:
-            u = (x - tau) / h
-            w = 1.0 - u * u
-            if w >= 0.0:
-                # _horner inline
-                acc = top
-                for a in rest:
-                    acc = acc * w
-                    if a:
-                        acc = acc + a
-                out.append(acc / h)
-            else:
-                out.append(0.0 / h)
-        return out
-
-    def K_window(self, x: float, h: float, taus) -> list[float]:
-        """``K((x - tau) / h)`` for each float ``tau`` in ``taus``."""
-        top, rest = self._horner_steps[2]
-        out = []
-        for tau in taus:
-            u = (x - tau) / h
-            u = -1.0 if u < -1.0 else 1.0 if u > 1.0 else u
-            w = u * u
-            # _horner inline
-            acc = top
-            for a in rest:
-                acc = acc * w
-                if a:
-                    acc = acc + a
-            v = 0.5 + u * acc
-            out.append(0.0 if v < 0.0 else 1.0 if v > 1.0 else v)
-        return out
+    @cached_property
+    def K_window(self) -> Callable[[float, float, Sequence[float]], list[float]]:
+        """``K((x - tau) / h)`` for each float ``tau`` in ``taus``, called
+        as ``K_window(x, h, taus)``."""
+        return self._window(_INTEGRAL_WINDOW, 2)
 
     @cached_property
     def K_tails(self) -> tuple[float, float]:

@@ -36,6 +36,7 @@ import importlib.util
 import os
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate
 
 import numpy as np
 
@@ -145,13 +146,20 @@ def build_sample(records) -> ObservedSample:
     if not np.all((d == 0.0) | (d == 1.0)):
         bad = int(np.argmax(~((d == 0.0) | (d == 1.0))))
         raise BadIndicator(f"record {bad}: indicator must be 0 or 1, got {d[bad]}")
-    times, inverse = np.unique(t, return_inverse=True)
-    counts = np.bincount(inverse, minlength=len(times))
-    ones = np.bincount(inverse, weights=d, minlength=len(times))
+    # np.unique's own sort, so that a run of equal times (0.0 and -0.0)
+    # is represented by the same member
+    order = np.argsort(t)
+    ts = t[order]
+    # the edges of the runs of equal times, 0 and n included
+    edge = np.empty(ts.size + 1, dtype=bool)
+    edge[0] = edge[-1] = True
+    np.not_equal(ts[1:], ts[:-1], out=edge[1:-1])
+    edges = np.flatnonzero(edge)
+    starts = edges[:-1]
     return ObservedSample(
-        times=times,
-        counts=counts.astype(np.int64),
-        ones=np.round(ones).astype(np.int64),
+        times=ts[starts],
+        counts=(edges[1:] - starts).astype(np.int64, copy=False),
+        ones=np.add.reduceat(d[order], starts).astype(np.int64),
     )
 
 
@@ -178,6 +186,25 @@ class StepDistribution:
     def jump_list(self) -> list[float]:
         """``jump_times`` as a list of Python floats (computed once)."""
         return self.jump_times.tolist()
+
+    @cached_property
+    def mass_list(self) -> list[float]:
+        """``masses`` as a list of Python floats (computed once)."""
+        return self.masses.tolist()
+
+    @cached_property
+    def _running_sums(self) -> dict[float, list[float]]:
+        return {}
+
+    def running_sums(self, weight: float) -> list[float]:
+        """``np.cumsum(masses * weight)`` in Python floats: the sums of
+        ``masses_j * weight`` from the first jump on, left to right
+        (computed once per nonzero ``weight``; the sums of a zero weight
+        are that zero, and the cache does not tell 0.0 from -0.0)."""
+        sums = self._running_sums.get(weight)
+        if sums is None:
+            sums = self._running_sums[weight] = list(accumulate(m * weight for m in self.mass_list))
+        return sums
 
     def cdf(self, t):
         """Evaluate at scalar or array ``t``.

@@ -14,6 +14,9 @@ closed-form boundary moments ``nu`` in :func:`direct_smoothed`, which are
 checked against :func:`nu_moment` on their own, and the library's PAVA
 solve in :func:`eager_hull`, checked against :func:`pava_blocks_loop`, so
 that the hull's per-node members can be compared bit for bit.
+:func:`smle_sum_loop` weights each jump by the library's array-route
+kernel and sums in a Python loop, and :func:`build_sample_unique` is the
+library's earlier ``np.unique`` grouping of the observations.
 """
 
 from __future__ import annotations
@@ -24,9 +27,16 @@ from pathlib import Path
 import numpy as np
 
 from curstat import smoothing
-from curstat.errors import DegenerateSupport, InputError, OutOfDomain
+from curstat.errors import (
+    BadIndicator,
+    DegenerateSupport,
+    EmptySample,
+    InputError,
+    NegativeTime,
+    OutOfDomain,
+)
 from curstat.kernels import Kernel, boundary_family, check_bandwidth
-from curstat.mle import pava_blocks
+from curstat.mle import ObservedSample, pava_blocks
 
 
 def hidden_x(truth, n: int, seed) -> np.ndarray:
@@ -463,3 +473,40 @@ def read_observations_loop(path: str) -> np.ndarray:
     if not rows:
         raise InputError(f"{path}: no data rows")
     return np.array(rows, dtype=float)
+
+
+def smle_sum_loop(mle, weight, h: float, t: float) -> float:
+    """``sum_j masses_j * weight((t - tau_j) / h)`` over all of ``mle``'s
+    jumps, added one at a time from the first jump on in Python floats;
+    ``weight`` is an array-route kernel weight such as ``kernel.K``."""
+    total = None
+    for tau, m in zip(mle.jump_times.tolist(), mle.masses.tolist()):
+        term = m * float(weight(np.array([(t - tau) / h]))[0])
+        total = term if total is None else total + term
+    return 0.0 if total is None else total
+
+
+def build_sample_unique(records) -> ObservedSample:
+    """``build_sample`` grouping by ``np.unique(..., return_inverse=True)``
+    and two ``np.bincount`` calls, with the same checks and messages."""
+    arr = np.asarray(records, dtype=float)
+    if arr.size == 0:
+        raise EmptySample("no observations supplied")
+    if arr.ndim != 2 or arr.shape[1] != 2:
+        raise InputError(f"records must be pairs (time, indicator), got shape {arr.shape}")
+    t = arr[:, 0]
+    d = arr[:, 1]
+    if not np.all(np.isfinite(t)) or np.any(t < 0):
+        bad = int(np.argmax(~(np.isfinite(t) & (t >= 0))))
+        raise NegativeTime(f"record {bad}: time must be finite and >= 0, got {t[bad]}")
+    if not np.all((d == 0.0) | (d == 1.0)):
+        bad = int(np.argmax(~((d == 0.0) | (d == 1.0))))
+        raise BadIndicator(f"record {bad}: indicator must be 0 or 1, got {d[bad]}")
+    times, inverse = np.unique(t, return_inverse=True)
+    counts = np.bincount(inverse, minlength=len(times))
+    ones = np.bincount(inverse, weights=d, minlength=len(times))
+    return ObservedSample(
+        times=times,
+        counts=counts.astype(np.int64),
+        ones=np.round(ones).astype(np.int64),
+    )

@@ -33,7 +33,7 @@ from curstat.estimators import (
 from curstat.kernels import Kernel, triweight
 from curstat.mle import StepDistribution, build_sample, fit_mle, pava_blocks
 from curstat.smoothing import _fit_smoothed_many, fit_smoothed
-from oracles import ScaledKernel, eager_hull, eager_msle_F
+from oracles import ScaledKernel, eager_hull, eager_msle_F, smle_sum_loop
 
 KERNEL = triweight()
 
@@ -520,6 +520,81 @@ def test_smle_scalar_path_matches_array_path_with_many_jumps():
             array = np.concatenate([fn(mle, KERNEL, h, np.array([x])) for x in t])
             scalar = np.array([fn(mle, KERNEL, h, float(x)) for x in t])
             assert scalar.tobytes() == array.tobytes(), (fn, h)
+
+
+@st.composite
+def _jump_order_cases(draw):
+    """A step distribution of 1-200 jumps with positive masses, points
+    before, among and past its jumps, and a bandwidth in [1e-20, 1e3]."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    jumps = draw(st.integers(1, 200))
+    times = np.unique(rng.uniform(0.0, 10.0, jumps))
+    masses = rng.uniform(0.05, 1.0, times.size)
+    values = np.cumsum(masses) / (masses.sum() * draw(st.sampled_from([1.0, 1.25])))
+    h = 10.0 ** draw(st.floats(-20.0, 3.0))
+    t = np.concatenate(
+        [
+            times[0] * rng.uniform(0.0, 1.0, 2),
+            rng.uniform(times[0], times[-1], 4),
+            times[rng.integers(times.size, size=2)],
+            times[-1] + h * np.array([0.5, 3.0]),
+        ]
+    )
+    return StepDistribution(jump_times=times, values=values), t, h
+
+
+def _even_steps(jumps: int, spacing: float, top: float) -> StepDistribution:
+    k = np.arange(1.0, jumps + 1.0)
+    return StepDistribution(jump_times=k * spacing, values=k * (top / jumps))
+
+
+@given(_jump_order_cases())
+@example((_even_steps(32, 0.25, 0.8), np.array([0.1, 4.0, 8.0, 9.0]), 1.5))
+@example((_even_steps(47, 0.2, 1.0), np.array([0.1, 4.0, 9.4, 10.0]), 0.7))
+@example((_even_steps(200, 0.05, 0.8), np.array([0.0, 5.0, 9.99]), 1e3))
+@example((_even_steps(200, 0.05, 0.8), np.array([0.0, 5.0, 5.05]), 1e-20))
+def test_smle_routes_sum_the_jumps_in_order(case):
+    # the scalar route and the one-element and n-point array routes add
+    # masses_j * weight(u_j) one jump at a time, from the first jump on
+    mle, t, h = case
+    for kern in _SMLE_KERNELS:
+        want = {}
+        for fn, weight in ((smle_F, kern.K), (smle_f, lambda u: kern.k(u) / h)):
+            want[fn] = np.array([smle_sum_loop(mle, weight, h, x) for x in t.tolist()])
+            scalar = np.array([fn(mle, kern, h, x) for x in t.tolist()])
+            one = np.concatenate([fn(mle, kern, h, np.array([x])) for x in t.tolist()])
+            for got in (fn(mle, kern, h, t), scalar, one):
+                assert got.tobytes() == want[fn].tobytes(), (kern, fn)
+        F, f = want[smle_F], want[smle_f]
+        hazard = estimators._hazard
+        assert _outcome(smle_lambda, mle, kern, h, t) == _outcome(hazard, F, lambda: f, "smoothed")
+        for x, F_x, f_x in zip(t.tolist(), F.tolist(), f.tolist()):
+            one = _outcome(hazard, F_x, lambda: f_x, "smoothed")
+            assert _outcome(smle_lambda, mle, kern, h, x) == one, (kern, x)
+            assert _outcome(smle_lambda, mle, kern, h, np.array([x])) == one, (kern, x)
+
+
+class _NoNumpy:
+    def __getattr__(self, name):
+        raise AssertionError(f"numpy.{name} read")
+
+
+def test_smle_scalar_reads_make_no_numpy_call(monkeypatch):
+    # after an MLE's first read, the SM selector's reads at one t over 60
+    # bandwidths run in Python floats alone
+    rng = np.random.default_rng(63)
+    mle = fit_mle(build_sample(_draw(rng, 500)))
+    hs = (np.geomspace(1.0, 25.0, 60) * 500.0 ** -0.2).tolist()
+    fns = (smle_F, smle_f, smle_lambda)
+    for kern in _SMLE_KERNELS:
+        smle_lambda(mle, kern, hs[0], 4.0)
+    with monkeypatch.context() as patch:
+        for module in ("curstat.estimators", "curstat.kernels", "curstat.mle"):
+            patch.setattr(f"{module}.np", _NoNumpy())
+        reads = [fn(mle, kern, h, 4.0) for kern in _SMLE_KERNELS for fn in fns for h in hs]
+    assert all(type(v) is float for v in reads)
+    want = [fn(mle, kern, h, np.array([4.0]))[0] for kern in _SMLE_KERNELS for fn in fns for h in hs]
+    assert np.array(reads).tobytes() == np.array(want).tobytes()
 
 
 def test_smle_blocked_grid_matches_one_unblocked_product(monkeypatch):

@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import example, given
@@ -101,6 +103,16 @@ def test_window_matches_array_route(x, h, taus):
         assert all(type(v) is float for v in got_K + got_k), kern.name
         assert np.array(got_K, dtype=float).tobytes() == want_K.tobytes(), kern.name
         assert np.array(got_k, dtype=float).tobytes() == want_k.tobytes(), kern.name
+
+
+def test_kernel_pickles_after_its_windows_are_compiled():
+    for kern in _KERNELS:
+        kern.K_window(0.0, 1.0, [0.5])
+        kern.k_window(0.0, 1.0, [0.5])
+        back = pickle.loads(pickle.dumps(kern))
+        assert back == kern
+        assert back.K_window(0.0, 1.0, [0.5]) == kern.K_window(0.0, 1.0, [0.5])
+        assert back.k_window(0.0, 1.0, [0.5]) == kern.k_window(0.0, 1.0, [0.5])
 
 
 def test_first_moment_vanishes_by_symmetry():

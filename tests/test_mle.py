@@ -10,6 +10,7 @@ from scipy.optimize import isotonic_regression
 from curstat import mle
 from curstat.errors import (
     BadIndicator,
+    CurstatError,
     EmptySample,
     InputError,
     LengthMismatch,
@@ -23,6 +24,7 @@ from curstat.mle import build_sample, fit_mle, pava_blocks
 
 from oracles import (
     CusumDiagram,
+    build_sample_unique,
     cusum,
     gcm_left_slopes,
     grid_mle_oracle,
@@ -71,6 +73,55 @@ def test_build_sample_rejects_bad_input():
 def test_time_zero_is_allowed():
     s = build_sample([(0.0, 0), (1.0, 1)])
     assert s.times[0] == 0.0
+
+
+# a small pool, so that times tie; -0.0 ties with 0.0
+_TIME_POOL = (0.0, -0.0, 5e-324, 0.5, 1.0, 2.0, 1e300)
+
+
+def _pooled_times(seed: int) -> list[float]:
+    # long runs of ties in a scrambled order: which of 0.0 and -0.0 a run
+    # keeps depends on how the sort orders equal keys
+    rng = np.random.default_rng(seed)
+    return rng.choice(_TIME_POOL, int(rng.integers(17, 200))).tolist()
+
+
+_BAD_RECORDS = ((-1.0, 0.0), (np.nan, 1.0), (np.inf, 0.0), (1.0, 0.5), (2.0, np.nan), (0.0, -1.0))
+
+
+def _grouping(build, records):
+    """``build(records)``'s three arrays with their dtypes and shapes, or
+    the class and message of the error raised."""
+    try:
+        s = build(records)
+    except CurstatError as exc:
+        return type(exc), str(exc)
+    return [(a.dtype, a.shape, a.tobytes()) for a in (s.times, s.counts, s.ones)]
+
+
+@given(
+    times=st.one_of(
+        st.lists(st.sampled_from(_TIME_POOL), min_size=0, max_size=200),
+        st.integers(0, 2**32 - 1).map(_pooled_times),
+    ),
+    deltas=st.lists(st.integers(0, 1), min_size=200, max_size=200),
+    bad=st.one_of(st.none(), st.tuples(st.sampled_from(_BAD_RECORDS), st.integers(0, 200))),
+)
+@example(times=[1.5], deltas=[1] * 200, bad=None)  # n = 1
+@example(times=[2.0] * 30, deltas=[0, 1] * 100, bad=None)  # all times equal
+@example(times=list(_TIME_POOL) * 9, deltas=[0] * 200, bad=None)  # all deltas 0
+@example(times=list(_TIME_POOL) * 9, deltas=[1] * 200, bad=None)  # all deltas 1
+@example(times=[-0.0, 0.0] * 20, deltas=[1, 0] * 100, bad=None)
+@example(times=[0.0, -0.0] * 20, deltas=[1, 0] * 100, bad=None)
+def test_build_sample_groups_as_unique_and_bincount(times, deltas, bad):
+    # one argsort gives the arrays of np.unique with return_inverse and two
+    # bincounts, byte for byte, and the checks raise as before
+    records = [(t, float(d)) for t, d in zip(times, deltas)]
+    if bad is not None:
+        record, at = bad
+        records.insert(min(at, len(records)), record)
+    for form in (records, np.array(records, dtype=float).reshape(-1, 2)):
+        assert _grouping(build_sample, form) == _grouping(build_sample_unique, form)
 
 
 # --- cusum diagram and hull (the oracle of fit_mle) -----------------------
