@@ -362,7 +362,8 @@ def _replicate(
 
 def _refine_minimizer(c_grid: np.ndarray, mse: np.ndarray) -> tuple[float, bool]:
     """Grid argmin sharpened by a parabola through the three log-c
-    neighbors; falls back to the grid point at edges or flat stencils.
+    neighbors; falls back to the grid point at edges, at flat stencils and
+    where the two log spacings differ: the vertex formula assumes even ones.
 
     Also returns whether the argmin is an end of a grid of two or more
     constants, where the curve's minimum may lie beyond the grid.
@@ -373,13 +374,26 @@ def _refine_minimizer(c_grid: np.ndarray, mse: np.ndarray) -> tuple[float, bool]
     x = np.log(c_grid[j - 1 : j + 2])
     y = mse[j - 1 : j + 2]
     denom = y[0] - 2.0 * y[1] + y[2]
-    if denom <= 0.0:
+    if denom <= 0.0 or not math.isclose(x[1] - x[0], x[2] - x[1], rel_tol=1e-6):
         return float(c_grid[j]), False
     # uniform log spacing: vertex offset from the middle point
     step = 0.5 * (x[2] - x[0])
     shift = 0.5 * step * (y[0] - y[2]) / denom
     shift = float(np.clip(shift, -step, step))
     return float(np.exp(x[1] + shift)), False
+
+
+def _select(sample_x, sample_t, size, family, target, kernel, c_grid, t, B, seed, reference):
+    """The selectors' one route: B replicates of ``size`` draws read at
+    every c size^{-alpha} on ``c_grid``, scored by their mean squared
+    deviation from ``reference``.  Returns the refined minimizer and the
+    record fields both selections share."""
+    hs = [float(h) for h in c_grid * size ** (-rate_exponent(target))]
+    body = _replicate(sample_x, sample_t, size, family, target, kernel, hs, t)
+    rows = replicate_map(body, B, seed)
+    mse = np.mean((np.stack(rows, axis=0) - reference) ** 2, axis=0)
+    c, at_edge = _refine_minimizer(c_grid, mse)
+    return c, dict(c_grid=c_grid, mse=mse, target=target, B=B, seed=seed, at_edge=at_edge)
 
 
 def bootstrap_bandwidth(
@@ -404,7 +418,6 @@ def bootstrap_bandwidth(
     if config.m > n:
         raise InputError(f"bootstrap size m={config.m} exceeds data size n={n}")
     c_grid = config.resolved_grid()
-    alpha = rate_exponent(target)
     h0 = config.c0 * n ** (-_PILOT_ALPHA)
     family = _FAMILY[method]
 
@@ -417,26 +430,19 @@ def bootstrap_bandwidth(
     draw_x = _tabulated_inverse(grid, F_tab, "event distribution")
     draw_t = _tabulated_inverse(grid, pilot.sm.G, "inspection distribution")
 
-    m = config.m
-    hs = [float(h) for h in c_grid * m ** (-alpha)]
-    body = _replicate(draw_x, draw_t, m, family, target, kernel, hs, config.t)
-    rows = replicate_map(body, config.B, config.seed)
-    mse = np.mean((np.stack(rows, axis=0) - pilot_value) ** 2, axis=0)
-    c_hat, at_edge = _refine_minimizer(c_grid, mse)
+    c_hat, shared = _select(
+        draw_x, draw_t, config.m, family, target, kernel, c_grid, config.t, config.B,
+        config.seed, pilot_value,
+    )
     return BootstrapSelection(
         c_hat=c_hat,
-        h_hat=c_hat * n ** (-alpha),
-        c_grid=c_grid,
-        mse=mse,
+        h_hat=c_hat * n ** (-rate_exponent(target)),
         pilot_value=pilot_value,
         pilot_h=h0,
-        target=target,
         method=method,
         n=n,
-        m=m,
-        B=config.B,
-        seed=config.seed,
-        at_edge=at_edge,
+        m=config.m,
+        **shared,
     )
 
 
@@ -464,26 +470,16 @@ def mc_bandwidth(
         raise InputError(f"replicate count must be >= 1, got {B}")
     c_grid = np.geomspace(1.0, 25.0, 60) if c_grid is None else _checked_c_grid(c_grid)
 
-    alpha = rate_exponent(target)
     theta0 = _true_value(truth, target, t)
-
-    hs = [float(h) for h in c_grid * sample_size ** (-alpha)]
-    body = _replicate(
-        truth.sample_x, truth.sample_t, sample_size, _FAMILY[method], target, kernel, hs, t
+    c_tilde, shared = _select(
+        truth.sample_x, truth.sample_t, sample_size, _FAMILY[method], target, kernel,
+        c_grid, t, B, seed, theta0,
     )
-    rows = replicate_map(body, B, seed)
-    mse = np.mean((np.stack(rows, axis=0) - theta0) ** 2, axis=0)
-    c_tilde, at_edge = _refine_minimizer(c_grid, mse)
     return MonteCarloSelection(
         c_tilde=c_tilde,
-        h_tilde=c_tilde * sample_size ** (-alpha),
-        c_grid=c_grid,
-        mse=mse,
+        h_tilde=c_tilde * sample_size ** (-rate_exponent(target)),
         theta0=theta0,
-        target=target,
         method=method,
         n=sample_size,
-        B=B,
-        seed=seed,
-        at_edge=at_edge,
+        **shared,
     )

@@ -490,40 +490,27 @@ def cmd_reproduce_table1(args) -> int:
 
     sample = sample_current_status(truth, args.n, args.seed).sample
 
-    rows = []
-    row_index = 0
-    for c0 in pilot_cs:
+    def bootstrap(c0, t, seed):
+        cfg = BootstrapConfig(m=args.m, B=args.B, c0=c0, t=t, seed=seed)
+        sel = bootstrap_bandwidth(sample, cfg, target, method, kernel)
+        return sel, sel.c_hat
+
+    def mc(size, t, seed):
+        sel = mc_bandwidth(truth, size, args.B, None, t, target, method, kernel, seed=seed)
+        return sel, sel.c_tilde
+
+    # one selection per cell, seeded by the cell's index in row order;
+    # h_hat is c n^{-alpha} on every row, as the bootstrap's own h_hat
+    specs = [(f"bootstrap c0={_fmt(c0)}", c0, bootstrap) for c0 in pilot_cs]
+    specs += [(f"mc-sim n={args.n}", args.n, mc), (f"mc-sim m={args.m}", args.m, mc)]
+    rows, cell = [], 0
+    for label, arg, select in specs:
         cells = []
         for t in _TABLE_POINTS:
-            cfg = BootstrapConfig(
-                m=args.m,
-                B=args.B,
-                c0=c0,
-                t=t,
-                seed=_child_seed(args.seed, row_index),
-            )
-            sel = bootstrap_bandwidth(sample, cfg, target, method, kernel)
-            _warn_if_at_edge(f"bootstrap c0={_fmt(c0)} at t={_fmt(t)}", sel, sel.c_hat)
-            cells.extend((sel.c_hat, sel.h_hat))
-            row_index += 1
-        rows.append((f"bootstrap c0={_fmt(c0)}", cells))
-    for label, size in ((f"mc-sim n={args.n}", args.n), (f"mc-sim m={args.m}", args.m)):
-        cells = []
-        for t in _TABLE_POINTS:
-            sel = mc_bandwidth(
-                truth,
-                size,
-                args.B,
-                None,
-                t,
-                target,
-                method,
-                kernel,
-                seed=_child_seed(args.seed, row_index),
-            )
-            _warn_if_at_edge(f"{label} at t={_fmt(t)}", sel, sel.c_tilde)
-            cells.extend((sel.c_tilde, sel.c_tilde * args.n ** (-alpha)))
-            row_index += 1
+            sel, c = select(arg, t, _child_seed(args.seed, cell))
+            _warn_if_at_edge(f"{label} at t={_fmt(t)}", sel, c)
+            cells.extend((c, c * args.n ** (-alpha)))
+            cell += 1
         rows.append((label, cells))
     cells = []
     for t in _TABLE_POINTS:

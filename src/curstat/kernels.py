@@ -120,7 +120,7 @@ class Kernel:
 
     def __post_init__(self):
         c = np.asarray(self.coefficients, dtype=float)
-        if np.any(c[1::2]) or abs(_integral(c) - 1.0) > 1e-12:
+        if not np.all(np.isfinite(c)) or np.any(c[1::2]) or abs(_integral(c) - 1.0) > 1e-12:
             raise ValueError("kernel polynomial must be even with unit mass on [-1, 1]")
 
     def __getstate__(self):

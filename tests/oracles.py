@@ -17,6 +17,11 @@ that the hull's per-node members can be compared bit for bit.
 :func:`smle_sum_loop` weights each jump by the library's array-route
 kernel and sums in a Python loop, and :func:`build_sample_unique` is the
 library's earlier ``np.unique`` grouping of the observations.
+:func:`bootstrap_bandwidth_inline` and :func:`mc_bandwidth_inline` are the
+two selectors as they were before they shared ``bandwidth._select``, each
+with its own replicate, MSE and refinement code, the last being
+:func:`refine_minimizer_even_log`, the refinement that assumes even log
+spacing.
 """
 
 from __future__ import annotations
@@ -27,6 +32,19 @@ from pathlib import Path
 import numpy as np
 
 from curstat import smoothing
+from curstat.bandwidth import (
+    _FAMILY,
+    _PILOT_ALPHA,
+    BootstrapSelection,
+    MonteCarloSelection,
+    _check_tm,
+    _checked_c_grid,
+    _replicate,
+    _tabulated_inverse,
+    _true_value,
+    rate_exponent,
+    replicate_map,
+)
 from curstat.errors import (
     BadIndicator,
     DegenerateSupport,
@@ -35,6 +53,7 @@ from curstat.errors import (
     NegativeTime,
     OutOfDomain,
 )
+from curstat.estimators import _EVAL, _Fits, smle_F
 from curstat.kernels import Kernel, boundary_family, check_bandwidth
 from curstat.mle import ObservedSample, pava_blocks
 
@@ -509,4 +528,101 @@ def build_sample_unique(records) -> ObservedSample:
         times=times,
         counts=counts.astype(np.int64),
         ones=np.round(ones).astype(np.int64),
+    )
+
+
+def refine_minimizer_even_log(c_grid: np.ndarray, mse: np.ndarray) -> tuple[float, bool]:
+    """The grid argmin sharpened by the vertex of the parabola through its
+    two neighbours, with the vertex formula for evenly spaced log c."""
+    j = int(np.argmin(mse))
+    if j == 0 or j == c_grid.size - 1:
+        return float(c_grid[j]), c_grid.size > 1
+    x = np.log(c_grid[j - 1 : j + 2])
+    y = mse[j - 1 : j + 2]
+    denom = y[0] - 2.0 * y[1] + y[2]
+    if denom <= 0.0:
+        return float(c_grid[j]), False
+    step = 0.5 * (x[2] - x[0])
+    shift = 0.5 * step * (y[0] - y[2]) / denom
+    shift = float(np.clip(shift, -step, step))
+    return float(np.exp(x[1] + shift)), False
+
+
+def bootstrap_bandwidth_inline(sample, config, target, method, kernel) -> BootstrapSelection:
+    """``bandwidth.bootstrap_bandwidth`` with its replicates, MSE curve and
+    refinement written out in its own body."""
+    _check_tm(target, method)
+    n = sample.n
+    if config.m > n:
+        raise InputError(f"bootstrap size m={config.m} exceeds data size n={n}")
+    c_grid = config.resolved_grid()
+    alpha = rate_exponent(target)
+    h0 = config.c0 * n ** (-_PILOT_ALPHA)
+    family = _FAMILY[method]
+
+    pilot = _Fits(sample, kernel, h0)
+    grid = pilot.sm.grid
+    pilot_value = float(_EVAL[family][target](*pilot.args(family), config.t))
+
+    F_tab = np.asarray(smle_F(pilot.mle, kernel, h0, grid))
+    draw_x = _tabulated_inverse(grid, F_tab, "event distribution")
+    draw_t = _tabulated_inverse(grid, pilot.sm.G, "inspection distribution")
+
+    m = config.m
+    hs = [float(h) for h in c_grid * m ** (-alpha)]
+    body = _replicate(draw_x, draw_t, m, family, target, kernel, hs, config.t)
+    rows = replicate_map(body, config.B, config.seed)
+    mse = np.mean((np.stack(rows, axis=0) - pilot_value) ** 2, axis=0)
+    c_hat, at_edge = refine_minimizer_even_log(c_grid, mse)
+    return BootstrapSelection(
+        c_hat=c_hat,
+        h_hat=c_hat * n ** (-alpha),
+        c_grid=c_grid,
+        mse=mse,
+        pilot_value=pilot_value,
+        pilot_h=h0,
+        target=target,
+        method=method,
+        n=n,
+        m=m,
+        B=config.B,
+        seed=config.seed,
+        at_edge=at_edge,
+    )
+
+
+def mc_bandwidth_inline(
+    truth, sample_size, B, c_grid, t, target, method, kernel, seed
+) -> MonteCarloSelection:
+    """``bandwidth.mc_bandwidth`` with its replicates, MSE curve and
+    refinement written out in its own body."""
+    _check_tm(target, method)
+    if sample_size < 1:
+        raise InputError(f"sample size must be >= 1, got {sample_size}")
+    if B < 1:
+        raise InputError(f"replicate count must be >= 1, got {B}")
+    c_grid = np.geomspace(1.0, 25.0, 60) if c_grid is None else _checked_c_grid(c_grid)
+
+    alpha = rate_exponent(target)
+    theta0 = _true_value(truth, target, t)
+
+    hs = [float(h) for h in c_grid * sample_size ** (-alpha)]
+    body = _replicate(
+        truth.sample_x, truth.sample_t, sample_size, _FAMILY[method], target, kernel, hs, t
+    )
+    rows = replicate_map(body, B, seed)
+    mse = np.mean((np.stack(rows, axis=0) - theta0) ** 2, axis=0)
+    c_tilde, at_edge = refine_minimizer_even_log(c_grid, mse)
+    return MonteCarloSelection(
+        c_tilde=c_tilde,
+        h_tilde=c_tilde * sample_size ** (-alpha),
+        c_grid=c_grid,
+        mse=mse,
+        theta0=theta0,
+        target=target,
+        method=method,
+        n=sample_size,
+        B=B,
+        seed=seed,
+        at_edge=at_edge,
     )

@@ -1,10 +1,14 @@
 """Tests for the asymptotic MSE formulas and the resampling selectors."""
 
+import dataclasses
+import struct
 import threading
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from curstat.bandwidth import (
     BootstrapConfig,
@@ -33,7 +37,13 @@ from curstat.kernels import triweight
 from curstat.mle import build_sample, fit_mle
 from curstat.sim import _draw, sample_current_status, truth_gamma4_exp3
 
-from oracles import fit_smoothed_per_h, golden_section_min
+from oracles import (
+    bootstrap_bandwidth_inline,
+    fit_smoothed_per_h,
+    golden_section_min,
+    mc_bandwidth_inline,
+    refine_minimizer_even_log,
+)
 
 KERNEL = triweight()
 TRUTH = truth_gamma4_exp3()
@@ -260,6 +270,26 @@ def test_refinement_recovers_off_grid_parabola_vertex():
     assert _refine_minimizer(c_grid, mse)[0] == c_grid[0]
 
 
+@pytest.mark.parametrize(
+    "c_grid, c_star, expected", [([1.0, 2.0, 8.0], np.e, 2.0), ([6.0, 9.0, 13.0], 8.0, 9.0)]
+)
+def test_refinement_keeps_the_grid_point_on_an_uneven_stencil(c_grid, c_star, expected):
+    # the vertex formula assumes even log spacing; here it would give
+    # 1.915 for e and 8.13 for 8
+    c_grid = np.array(c_grid)
+    mse = (np.log(c_grid) - np.log(c_star)) ** 2
+    assert _refine_minimizer(c_grid, mse) == (expected, False)
+
+
+def test_refinement_still_runs_on_an_extreme_geometric_grid():
+    c_grid = np.geomspace(1e-300, 1e300, 2**20)
+    mse = (np.log(c_grid) - np.log(2.718)) ** 2
+    c, at_edge = _refine_minimizer(c_grid, mse)
+    assert (c, at_edge) == refine_minimizer_even_log(c_grid, mse)
+    assert c == pytest.approx(2.718, rel=1e-9)
+    assert np.min(np.abs(c_grid / 2.718 - 1.0)) > 1e-6
+
+
 def test_monotone_mse_curve_flags_the_grid_end():
     c_grid = np.geomspace(2.0, 20.0, 25)
     assert _refine_minimizer(c_grid, np.linspace(1.0, 2.0, 25)) == (2.0, True)
@@ -272,6 +302,58 @@ def test_monotone_mse_curve_flags_the_grid_end():
     cfg = BootstrapConfig(m=100, B=4, c0=10.0, t=4.0, seed=5, c_grid=np.geomspace(3.0, 20.0, 8))
     sel = bootstrap_bandwidth(sample, cfg, "F", "SM", KERNEL)
     assert sel.at_edge == (sel.c_hat in (3.0, 20.0))
+
+
+def _outcome(select, *args):
+    """The record ``select`` returns, or the class and message it raises."""
+    try:
+        return select(*args)
+    except Exception as exc:  # the class and message are what is compared
+        return type(exc), str(exc)
+
+
+def _assert_same_bits(a, b):
+    if not dataclasses.is_dataclass(a):
+        assert a == b
+        return
+    assert type(a) is type(b)
+    for field in dataclasses.fields(a):
+        x, y = getattr(a, field.name), getattr(b, field.name)
+        assert type(x) is type(y), field.name
+        if isinstance(x, np.ndarray):
+            assert (x.dtype, x.shape, x.tobytes()) == (y.dtype, y.shape, y.tobytes()), field.name
+        elif isinstance(x, float):
+            assert struct.pack("<d", x) == struct.pack("<d", y), field.name
+        else:
+            assert x == y, field.name
+
+
+@settings(max_examples=60)
+@given(
+    method=st.sampled_from(["MS", "SM"]),
+    target=st.sampled_from(["F", "f", "lambda"]),
+    m=st.integers(40, 200),
+    B=st.integers(1, 3),
+    seed=st.integers(0, 2**32 - 1),
+    t=st.sampled_from([4.0, 6.5, 1.0, 14.0]),
+    c_lo=st.floats(0.5, 20.0),
+    ratio=st.floats(1.1, 30.0),
+    points=st.integers(3, 8),
+)
+@example(method="MS", target="lambda", m=60, B=2, seed=1, t=14.0, c_lo=2.0, ratio=10.0, points=4)
+@example(method="SM", target="f", m=200, B=3, seed=2, t=4.0, c_lo=1.0, ratio=25.0, points=8)
+def test_both_selectors_keep_the_bits_of_their_inline_bodies(
+    method, target, m, B, seed, t, c_lo, ratio, points
+):
+    c_grid = np.geomspace(c_lo, c_lo * ratio, points)
+    sample = sample_current_status(TRUTH, 200, seed % 7).sample
+    cfg = BootstrapConfig(m=m, B=B, c0=4.0 + seed % 11, t=t, seed=seed, c_grid=c_grid)
+    _assert_same_bits(
+        _outcome(bootstrap_bandwidth, sample, cfg, target, method, KERNEL),
+        _outcome(bootstrap_bandwidth_inline, sample, cfg, target, method, KERNEL),
+    )
+    mc_args = (TRUTH, m, B, c_grid, t, target, method, KERNEL, seed)
+    _assert_same_bits(_outcome(mc_bandwidth, *mc_args), _outcome(mc_bandwidth_inline, *mc_args))
 
 
 def test_mc_determinism_and_reorder_invariance():

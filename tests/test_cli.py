@@ -909,6 +909,30 @@ def test_reproduce_table1_small_scale(tmp_path):
     assert out.read_bytes() == out2.read_bytes()
 
 
+@pytest.mark.parametrize("method, code", [("smle", "SM"), ("msle", "MS")])
+def test_reproduce_table1_seeds_each_cell_by_its_index_in_row_order(tmp_path, method, code):
+    from curstat.bandwidth import BootstrapConfig, bootstrap_bandwidth, mc_bandwidth
+
+    out = tmp_path / "table.csv"
+    args = ["reproduce-table1", "--method", method, "--n", "300", "--m", "60", "--B", "2"]
+    assert main(args + ["--c0-set", "5,10", "--output", str(out)]) == 0
+    _, rows = _parse_output(out)
+    sample = sample_current_status(TRUTH, 300, 0).sample
+
+    def select(label, t, seed):
+        kind, value = label.split("=")
+        if kind == "bootstrap c0":
+            cfg = BootstrapConfig(m=60, B=2, c0=float(value), t=t, seed=seed)
+            return bootstrap_bandwidth(sample, cfg, "F", code, KERNEL).c_hat
+        return mc_bandwidth(TRUTH, int(value), 2, None, t, "F", code, KERNEL, seed).c_tilde
+
+    cells = [(row, j, t) for row in rows[:-1] for j, t in enumerate(cli._TABLE_POINTS)]
+    assert len(cells) == 8
+    for i, (row, j, t) in enumerate(cells):
+        c = select(row[0], t, cli._child_seed(0, i))
+        assert row[1 + 2 * j : 3 + 2 * j] == [_fmt(c), _fmt(c * 300 ** -0.2)], (row[0], t)
+
+
 def test_reproduce_table1_validation(capsys):
     assert main(["reproduce-table1", "--n", "10", "--m", "20", "--B", "1"]) == 2
     assert main(["reproduce-table1", "--c0-set", "5,-1"]) == 2

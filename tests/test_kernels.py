@@ -1,3 +1,4 @@
+import math
 import pickle
 
 import numpy as np
@@ -55,6 +56,12 @@ def test_kernel_rejects_odd_or_unnormalized_polynomial():
         Kernel("odd", (0.5, 0.1))
     with pytest.raises(ValueError):
         Kernel("heavy", (1.0,))
+    # a non-finite coefficient fails the same check, not Fraction's
+    for bad in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError, match="must be even with unit mass"):
+            Kernel("x", (bad,))
+        with pytest.raises(ValueError, match="must be even with unit mass"):
+            Kernel("x", (0.5, 0.0, bad))
     assert Kernel("uniform", (0.5,)).l2_k == 0.5
 
 
